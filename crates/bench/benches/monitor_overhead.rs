@@ -18,9 +18,10 @@ fn bench_monitor(c: &mut Criterion) {
     let mut world = WorldBuilder::new(4).seed(7).app(syn_app(1.0)).build().expect("SYN app");
 
     // Healthy baseline from the first second.
+    let mut baseline_segment = TraceSegment::new();
+    world.trace_into(&mut baseline_segment, Nanos::from_secs(1));
     let mut baseline_session = SynthesisSession::new();
-    world.trace_into(&mut baseline_session, Nanos::from_secs(1));
-    baseline_session.flush();
+    baseline_session.feed_segment(&baseline_segment);
     let baseline = Baseline::from_dag(&baseline_session.model());
 
     // One observation window's segment, pre-collected.

@@ -27,9 +27,8 @@ use crate::cblist::{CallbackRecord, CbList};
 use crate::dag::Dag;
 use crate::stats::ExecStats;
 use rtms_trace::{
-    CallbackId, CallbackKind, MergedEvents, Nanos, OwnedSegmentEvent, Pid, RosEvent, RosPayload,
-    SchedEvent, SchedEventKind, SegmentCursor, SegmentEvent, SourceTimestamp, Topic, Trace,
-    TraceSegment,
+    CallbackId, CallbackKind, Nanos, OwnedSegmentEvent, Pid, RosEvent, RosPayload, SchedEvent,
+    SchedEventKind, SegmentCursor, SegmentEvent, SourceTimestamp, Topic, Trace, TraceSegment,
 };
 use rtms_util::FxHashMap;
 use std::collections::{HashMap, VecDeque};
@@ -282,11 +281,11 @@ struct RespState {
 
 /// Incremental synthesis over streamed trace segments.
 ///
-/// Feed segments (or whole traces) in chronological order with
-/// [`SynthesisSession::feed_segment`] / [`SynthesisSession::feed_trace`];
-/// call [`SynthesisSession::model`] at any point for the timing model of
-/// everything fed so far. The session is an [`rtms_trace::EventSink`], so a
-/// running world can drain tracer buffers straight into it.
+/// Trace data enters one of two ways: live segments in chronological
+/// order through [`SynthesisSession::feed_segment`], or a recorded segment
+/// file through [`SynthesisSession::feed_reader`]. Call
+/// [`SynthesisSession::model`] at any point for the timing model of
+/// everything fed so far.
 ///
 /// # Example
 ///
@@ -318,9 +317,6 @@ pub struct SynthesisSession {
     nodes: NodeTable,
     writes: FxHashMap<SourceTimestamp, Vec<WriteEntry>>,
     responses: FxHashMap<SourceTimestamp, Vec<RespState>>,
-    /// Events pushed through the `EventSink` interface, pending a
-    /// [`SynthesisSession::flush`].
-    buffer: TraceSegment,
     next_seq: u64,
     segments_fed: usize,
     events_fed: u64,
@@ -352,26 +348,12 @@ impl SynthesisSession {
             nodes: NodeTable::default(),
             writes: FxHashMap::default(),
             responses: FxHashMap::default(),
-            buffer: TraceSegment::new(),
             next_seq: 0,
             segments_fed: 0,
             events_fed: 0,
             peak_segment_events: 0,
             peak_watermark: 0,
         }
-    }
-
-    /// Consumes everything pushed through the [`rtms_trace::EventSink`]
-    /// interface since the last flush, as one segment. Events pushed via
-    /// the sink are buffered (a drain delivers the ROS2 and scheduler
-    /// streams back to back, not merged), so call this once per drained
-    /// segment — e.g. after `Ros2World::trace_into(&mut session, ..)`.
-    pub fn flush(&mut self) {
-        if self.buffer.is_empty() {
-            return;
-        }
-        let segment = std::mem::take(&mut self.buffer);
-        self.feed_segment_owned(segment);
     }
 
     /// The PID → node-name map accumulated so far (seed map plus streamed
@@ -384,43 +366,7 @@ impl SynthesisSession {
     /// (both streams merged by timestamp); the segment can be dropped
     /// afterwards — the session retains only derived state.
     pub fn feed_segment(&mut self, segment: &TraceSegment) {
-        if segment.is_sorted_by_time() {
-            self.feed_sorted_slices(segment.ros_events(), segment.sched_events(), segment.len());
-        } else {
-            self.feed_cursor(segment.cursor(), segment.len());
-        }
-    }
-
-    /// Consumes a whole trace as one segment.
-    pub fn feed_trace(&mut self, trace: &Trace) {
-        if trace.is_sorted_by_time() {
-            self.feed_trace_sorted(trace)
-        } else {
-            self.feed_cursor(trace.cursor(), trace.len());
-        }
-    }
-
-    /// Direct two-pointer walk for a trace whose streams are already
-    /// chronologically sorted (see `feed_sorted_slices`).
-    fn feed_trace_sorted(&mut self, trace: &Trace) {
-        self.feed_sorted_slices(trace.ros_events(), trace.sched_events(), trace.len());
-    }
-
-    /// Consumes one trace segment *by value*. Equivalent to
-    /// [`SynthesisSession::feed_segment`], but payload allocations (topic
-    /// name `Arc`s, P1 node names) are moved into the session's state
-    /// instead of cloned — the zero-copy half of the sink → session →
-    /// model pipeline. [`SynthesisSession::flush`] ingests this way.
-    pub fn feed_segment_owned(&mut self, segment: TraceSegment) {
-        let len = segment.len();
-        self.feed_merged(segment.into_merged(), len);
-    }
-
-    /// Consumes a whole trace by value as one segment, like
-    /// [`SynthesisSession::feed_segment_owned`].
-    pub fn feed_trace_owned(&mut self, trace: Trace) {
-        let len = trace.len();
-        self.feed_merged(trace.into_merged(), len);
+        self.feed_events(segment.ros_events(), segment.sched_events());
     }
 
     /// Replays a recorded segment file into the session: reads every
@@ -449,7 +395,7 @@ impl SynthesisSession {
         let mut segments = 0;
         loop {
             let result = reader.next_segment_events(|event| match event {
-                OwnedSegmentEvent::Ros(e) => self.on_ros_owned(e),
+                OwnedSegmentEvent::Ros(e) => self.on_ros(&e),
                 OwnedSegmentEvent::Sched(e) => self.on_sched(&e),
             })?;
             match result {
@@ -477,68 +423,26 @@ impl SynthesisSession {
         self.peak_watermark = self.peak_watermark.max(watermark);
     }
 
-    /// The hot-path twin of `feed_cursor` for pre-sorted streams: a direct
-    /// two-pointer merge over the event slices, with no index tables and
-    /// no per-segment allocation. Ordering is identical to
-    /// [`SegmentCursor`]'s contract — each stream in (already-)stable time
-    /// order, the ROS2 event first on a cross-stream timestamp tie — so
-    /// the derived model is byte-identical whichever path runs. Segments
-    /// produced by `Ros2World::trace_segments` arrive sorted (the segment
-    /// contract), so in steady state this path is the one that runs.
-    fn feed_sorted_slices(&mut self, ros: &[RosEvent], sched: &[SchedEvent], len: usize) {
+    /// The one live walk: both streams in [`SegmentCursor`] order, after
+    /// sorting a copy if either stream is out of time order. Producers
+    /// hand over sorted segments (the segment contract), so in steady
+    /// state nothing is copied. The batch entry points feed whole traces
+    /// through here too.
+    pub(crate) fn feed_events(&mut self, ros: &[RosEvent], sched: &[SchedEvent]) {
+        if !(ros.is_sorted_by_key(|e| e.time) && sched.is_sorted_by_key(|e| e.time)) {
+            let mut sorted = Trace::from_events(ros.to_vec(), sched.to_vec());
+            sorted.sort_by_time();
+            return self.feed_events(sorted.ros_events(), sorted.sched_events());
+        }
+        let len = ros.len() + sched.len();
         self.begin_feed(len);
-        let (mut ri, mut si) = (0, 0);
-        while ri < ros.len() && si < sched.len() {
-            if ros[ri].time <= sched[si].time {
-                self.on_ros(&ros[ri]);
-                ri += 1;
-            } else {
-                self.on_sched(&sched[si]);
-                si += 1;
-            }
-        }
-        for e in &ros[ri..] {
-            self.on_ros(e);
-        }
-        for e in &sched[si..] {
-            self.on_sched(e);
-        }
-        self.end_feed(len);
-    }
-
-    fn feed_cursor(&mut self, cursor: SegmentCursor<'_>, len: usize) {
-        self.begin_feed(len);
-        for event in cursor {
+        for event in SegmentCursor::over(ros, sched) {
             match event {
                 SegmentEvent::Ros(e) => self.on_ros(e),
                 SegmentEvent::Sched(e) => self.on_sched(e),
             }
         }
         self.end_feed(len);
-    }
-
-    fn feed_merged(&mut self, events: MergedEvents, len: usize) {
-        self.begin_feed(len);
-        for event in events {
-            match event {
-                OwnedSegmentEvent::Ros(e) => self.on_ros_owned(e),
-                OwnedSegmentEvent::Sched(e) => self.on_sched(&e),
-            }
-        }
-        self.end_feed(len);
-    }
-
-    /// By-value twin of [`SynthesisSession::on_ros`]: the only payload the
-    /// by-ref walker has to copy is the P1 node name, so take ownership of
-    /// that one here and borrow for everything else.
-    fn on_ros_owned(&mut self, e: RosEvent) {
-        if let RosPayload::NodeInit { node_name } = e.payload {
-            if self.names.get(&e.pid) != Some(&node_name) {
-                Arc::make_mut(&mut self.names).insert(e.pid, node_name);
-            }
-            return;
-        }
-        self.on_ros(&e);
     }
 
     fn on_ros(&mut self, e: &RosEvent) {
@@ -896,15 +800,6 @@ impl SynthesisSession {
     }
 }
 
-impl rtms_trace::EventSink for SynthesisSession {
-    fn push_ros(&mut self, event: RosEvent) {
-        rtms_trace::EventSink::push_ros(&mut self.buffer, event);
-    }
-    fn push_sched(&mut self, event: SchedEvent) {
-        rtms_trace::EventSink::push_sched(&mut self.buffer, event);
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1063,32 +958,13 @@ mod tests {
     }
 
     #[test]
-    fn owned_feed_equals_by_ref_feed() {
-        let trace = service_trace();
-        let mut by_ref = SynthesisSession::new();
-        by_ref.feed_trace(&trace);
-        for per_segment in [1usize, 4, 1000] {
-            let mut owned = SynthesisSession::new();
-            for seg in split_by_events(&trace, per_segment) {
-                owned.feed_segment_owned(seg);
-            }
-            assert_eq!(owned.model(), by_ref.model(), "segment size {per_segment}");
-            assert_eq!(owned.events_fed(), by_ref.events_fed());
-        }
-        let mut owned = SynthesisSession::new();
-        owned.feed_trace_owned(trace);
-        assert_eq!(owned.model(), by_ref.model());
-        assert_eq!(owned.peak_watermark(), by_ref.peak_watermark());
-    }
-
-    #[test]
     fn seeded_name_map_is_shared_not_cloned() {
         let names: Arc<HashMap<Pid, String>> = Arc::new(
             [(Pid::new(1), "caller".to_string()), (Pid::new(3), "server".to_string())].into(),
         );
         let trace = service_trace();
         let mut session = SynthesisSession::with_names(Arc::clone(&names));
-        session.feed_trace(&trace);
+        session.feed_segment(&trace.into());
         // The stream's P1 events agree with the seed map, so the Arc is
         // still the very same allocation — no copy-on-write happened.
         assert!(Arc::ptr_eq(session.names(), &names));
@@ -1103,27 +979,36 @@ mod tests {
         let mut session = SynthesisSession::with_names(Arc::clone(&names));
         let mut trace = Trace::new();
         trace.push_ros(ros(0, 7, RosPayload::NodeInit { node_name: "new".into() }));
-        session.feed_trace(&trace);
+        session.feed_segment(&trace.into());
         assert!(!Arc::ptr_eq(session.names(), &names));
         assert_eq!(session.names().get(&Pid::new(7)).map(String::as_str), Some("new"));
         assert!(names.is_empty(), "seed map untouched");
     }
 
     #[test]
-    fn session_is_an_event_sink_with_flush() {
+    fn unsorted_segment_equals_batch() {
         use rtms_trace::EventSink;
         let trace = service_trace();
+        // Streams arrive back to back, as a tracer drain delivers them,
+        // each with its late events first, so the walk has to sort a copy
+        // (equal timestamps keep their relative order).
+        let late = |t: Nanos| t >= Nanos::from_millis(5);
+        let mut segment = TraceSegment::new();
+        for first in [true, false] {
+            for e in trace.ros_events().iter().filter(|e| late(e.time) == first) {
+                segment.push_ros(e.clone());
+            }
+        }
+        for first in [true, false] {
+            for e in trace.sched_events().iter().filter(|e| late(e.time) == first) {
+                segment.push_sched(e.clone());
+            }
+        }
+        assert!(!segment.ros_events().is_sorted_by_key(|e| e.time));
         let mut session = SynthesisSession::new();
-        // Streams arrive back to back, as a tracer drain delivers them.
-        for e in trace.ros_events() {
-            session.push_ros(e.clone());
-        }
-        for e in trace.sched_events() {
-            session.push_sched(e.clone());
-        }
-        session.flush();
+        session.feed_segment(&segment);
         assert_eq!(session.model(), synthesize(&trace));
-        session.flush(); // idempotent on an empty buffer
+        assert_eq!(session.events_fed(), trace.len() as u64);
         assert_eq!(session.segments_fed(), 1);
     }
 }

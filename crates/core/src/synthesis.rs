@@ -1,10 +1,11 @@
 //! Whole-trace model synthesis: the top of the pipeline in Fig. 1.
 //!
 //! The batch entry points here are thin wrappers around the incremental
-//! [`SynthesisSession`] — a whole trace is simply a stream of one segment.
-//! The session walks one shared chronological cursor and keeps per-node
-//! walker state, so synthesis no longer clones and re-sorts the full event
-//! vector once per node.
+//! [`SynthesisSession`] — a whole trace is simply a stream of one segment,
+//! fed through the same walk as a live segment. The session walks one
+//! shared chronological cursor and keeps per-node walker state, so
+//! synthesis never clones and re-sorts the full event vector once per
+//! node.
 
 use crate::cblist::CbList;
 use crate::dag::Dag;
@@ -40,9 +41,7 @@ pub fn node_name_map_shared(trace: &Trace) -> Arc<HashMap<Pid, String>> {
 /// Runs Algorithm 1 for every node observed in the trace, returning the
 /// per-node callback lists.
 pub fn synthesize_per_node(trace: &Trace) -> Vec<(Pid, CbList)> {
-    let mut session = SynthesisSession::new();
-    session.feed_trace(trace);
-    session.callback_lists()
+    session_over(trace).callback_lists()
 }
 
 /// Synthesizes the timing model of all applications in the trace: callback
@@ -59,18 +58,21 @@ pub fn synthesize_per_node(trace: &Trace) -> Vec<(Pid, CbList)> {
 /// assert!(dag.vertices().is_empty());
 /// ```
 pub fn synthesize(trace: &Trace) -> Dag {
-    let mut session = SynthesisSession::new();
-    session.feed_trace(trace);
-    session.model()
+    session_over(trace).model()
 }
 
 /// Like [`synthesize`], but with an explicitly supplied node-name map —
 /// required for trace segments collected after the INIT tracer stopped
 /// (their P1 events live in an earlier segment).
 pub fn synthesize_with_names(trace: &Trace, names: &HashMap<Pid, String>) -> Dag {
+    session_over(trace).model_with_names(names)
+}
+
+/// A fresh session fed the whole trace as one segment.
+fn session_over(trace: &Trace) -> SynthesisSession {
     let mut session = SynthesisSession::new();
-    session.feed_trace(trace);
-    session.model_with_names(names)
+    session.feed_events(trace.ros_events(), trace.sched_events());
+    session
 }
 
 #[cfg(test)]

@@ -94,8 +94,9 @@ pub struct FleetOutcome {
     pub alerts: Vec<TenantAlert>,
 }
 
-/// The `q`-th percentile (0.0–1.0) of an **ascending-sorted** slice via
-/// the nearest-rank method; 0.0 for an empty slice.
+/// The `q`-th percentile (0.0–1.0), in microseconds, of an
+/// **ascending-sorted** slice of nanosecond latencies via the nearest-rank
+/// method; 0.0 for an empty slice.
 pub(crate) fn percentile_us(sorted: &[u64], q: f64) -> f64 {
     if sorted.is_empty() {
         return 0.0;
@@ -116,6 +117,12 @@ mod tests {
         assert_eq!(percentile_us(&us, 1.0), 100.0);
         assert_eq!(percentile_us(&[], 0.5), 0.0);
         assert_eq!(percentile_us(&[1_500], 0.99), 1.5);
+    }
+
+    #[test]
+    fn recorded_latency_reports_in_microseconds() {
+        let recorded = crate::shard::latency_ns(std::time::Duration::from_micros(1_500));
+        assert_eq!(percentile_us(&[recorded], 0.5), 1_500.0, "1.5 ms is 1500 us");
     }
 
     #[test]

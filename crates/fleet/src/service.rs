@@ -120,7 +120,7 @@ pub fn run(config: &FleetConfig) -> Result<FleetOutcome, String> {
     let mut peak_retained_episodes = 0usize;
     for o in outcomes {
         alerts.extend(o.alerts);
-        latencies.extend(o.latencies_us);
+        latencies.extend(o.latencies_ns);
         events += o.events;
         segments += o.segments;
         peak_session_watermark = peak_session_watermark.max(o.peak_session_watermark);

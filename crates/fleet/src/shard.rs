@@ -2,7 +2,7 @@
 //! MPSC ingress receiver.
 
 use std::collections::BTreeMap;
-use std::time::Instant;
+use std::time::{Duration, Instant};
 
 use crate::config::SegmentPlan;
 use crate::report::TenantAlert;
@@ -33,8 +33,8 @@ pub(crate) struct ShardOutcome {
     /// Alerts raised by this shard's tenants (unsorted; the service sorts
     /// the fleet-wide stream into total order).
     pub alerts: Vec<TenantAlert>,
-    /// Per-segment ingest-to-model latencies in microseconds (unsorted).
-    pub latencies_us: Vec<u64>,
+    /// Per-segment ingest-to-model latencies in nanoseconds (unsorted).
+    pub latencies_ns: Vec<u64>,
     /// Trace events ingested.
     pub events: u64,
     /// Trace segments ingested.
@@ -51,9 +51,14 @@ pub(crate) struct ShardOutcome {
 /// the shard's [`BaselineStore`] instead, keyed by tenant id.
 struct TenantRuntime {
     /// Cumulative session over the tenant's whole run; its model at the
-    /// baseline boundary becomes the tenant's [`Baseline`], its flushed
-    /// final model joins the shard merge.
+    /// baseline boundary becomes the tenant's [`Baseline`], its final
+    /// model joins the shard merge.
     session: SynthesisSession,
+}
+
+/// A latency in whole nanoseconds, the unit `percentile_us` expects.
+pub(crate) fn latency_ns(elapsed: Duration) -> u64 {
+    u64::try_from(elapsed.as_nanos()).unwrap_or(u64::MAX)
 }
 
 /// Runs one shard worker to completion: receives [`Ingest`]s until every
@@ -65,7 +70,7 @@ struct TenantRuntime {
 /// * each later segment is additionally synthesized into a per-window
 ///   snapshot (a fresh session sharing the tenant's learned name map) and
 ///   judged by the tenant's monitor;
-/// * the final flushed model is merged into the shard-local fleet model
+/// * the final model is merged into the shard-local fleet model
 ///   as soon as the tenant finishes, so shard memory holds per-tenant
 ///   *sessions* only for tenants still streaming.
 ///
@@ -90,7 +95,7 @@ pub(crate) fn run_shard(
     let mut outcome = ShardOutcome {
         model: Dag::default(),
         alerts: Vec::new(),
-        latencies_us: Vec::new(),
+        latencies_ns: Vec::new(),
         events: 0,
         segments: 0,
         peak_session_watermark: 0,
@@ -116,10 +121,9 @@ pub(crate) fn run_shard(
                 outcome.alerts.push(TenantAlert { tenant: tenant as u64, segment: idx as u64, alert });
             }
         }
-        outcome.latencies_us.push(sent.elapsed().as_micros().min(u128::from(u64::MAX)) as u64);
+        outcome.latencies_ns.push(latency_ns(sent.elapsed()));
         if idx + 1 == plan.total_segments {
-            let mut rt = runtimes.remove(&tenant).expect("runtime exists for final segment");
-            rt.session.flush();
+            let rt = runtimes.remove(&tenant).expect("runtime exists for final segment");
             outcome.peak_session_watermark =
                 outcome.peak_session_watermark.max(rt.session.peak_watermark());
             let model = rt.session.model();

@@ -38,21 +38,23 @@
 //! use rtms_core::SynthesisSession;
 //! use rtms_monitor::{Baseline, Monitor};
 //! use rtms_ros2::WorldBuilder;
-//! use rtms_trace::Nanos;
+//! use rtms_trace::{Nanos, TraceSegment};
 //! use rtms_workloads::syn_app;
 //!
 //! let mut world = WorldBuilder::new(2).seed(1).app(syn_app(1.0)).build()?;
 //! // Healthy phase: capture the baseline from the first second.
+//! let mut segment = TraceSegment::new();
+//! world.trace_into(&mut segment, Nanos::from_secs(1));
 //! let mut session = SynthesisSession::new();
-//! world.trace_into(&mut session, Nanos::from_secs(1));
-//! session.flush();
+//! session.feed_segment(&segment);
 //! let baseline = Baseline::from_dag(&session.model());
 //! let mut monitor = Monitor::new(baseline);
 //!
 //! // Watch phase: feed per-window snapshots (here: one more window).
+//! segment.clear();
+//! world.trace_into(&mut segment, Nanos::from_secs(1));
 //! let mut window = SynthesisSession::with_names(session.names().clone());
-//! world.trace_into(&mut window, Nanos::from_secs(1));
-//! window.flush();
+//! window.feed_segment(&segment);
 //! let alerts = monitor.observe(&window.model(), Nanos::from_secs(1));
 //! assert!(alerts.is_empty(), "a healthy run raises no alerts");
 //! # Ok::<(), rtms_ros2::WorldError>(())

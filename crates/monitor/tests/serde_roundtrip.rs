@@ -4,7 +4,7 @@
 use rtms_core::{ModelDiff, SynthesisSession, TopologyEdge};
 use rtms_monitor::{Alert, AlertKind, Baseline, Severity};
 use rtms_ros2::WorldBuilder;
-use rtms_trace::Nanos;
+use rtms_trace::{Nanos, TraceSegment};
 use rtms_workloads::syn_app;
 
 fn roundtrip<T>(value: &T) -> T
@@ -69,9 +69,10 @@ fn every_alert_kind_round_trips() {
 #[test]
 fn baseline_round_trips_from_real_synthesis() {
     let mut world = WorldBuilder::new(2).seed(1).app(syn_app(1.0)).build().expect("SYN app");
+    let mut segment = TraceSegment::new();
+    world.trace_into(&mut segment, Nanos::from_secs(2));
     let mut session = SynthesisSession::new();
-    world.trace_into(&mut session, Nanos::from_secs(2));
-    session.flush();
+    session.feed_segment(&segment);
     let baseline = Baseline::from_dag(&session.model());
     assert!(!baseline.is_empty(), "SYN baseline captures envelopes");
     let back = roundtrip(&baseline);

@@ -259,8 +259,8 @@ fn trace_is_chronologically_sorted_and_serializable() {
         assert!(e.time >= prev);
         prev = e.time;
     }
-    let json = trace.to_json().expect("serialize");
-    let back = Trace::from_json(&json).expect("deserialize");
+    let json = serde_json::to_string(&trace).expect("serialize");
+    let back: Trace = serde_json::from_str(&json).expect("deserialize");
     assert_eq!(&back, &trace);
 }
 

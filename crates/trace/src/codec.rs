@@ -1,11 +1,10 @@
 //! Compact binary encoding of trace events.
 //!
-//! The JSON trace store serializes every event through the serde value
-//! tree — fine for archival, far too slow and fat for record-once
-//! replay-many workflows. This module is the dense alternative: a
-//! hand-rolled little-endian binary encoding (one tag byte plus LEB128
-//! varints, see `rtms_util::varint`) in which a typical event costs a
-//! handful of bytes instead of a hundred.
+//! Serializing every event through the serde value tree is far too slow
+//! and fat for record-once replay-many workflows. This module is the
+//! dense alternative: a hand-rolled little-endian binary encoding (one
+//! tag byte plus LEB128 varints, see `rtms_util::varint`) in which a
+//! typical event costs a handful of bytes instead of a hundred.
 //!
 //! Topic names are *interned*: the encoder assigns each distinct name a
 //! small integer through a [`TopicInterner`] keyed off the shared
@@ -16,10 +15,10 @@
 //! every decoded event, so a replayed stream enjoys the same
 //! allocation-free topic handling as a live one.
 //!
-//! Segment frames store their records *interleaved* in merged
-//! chronological order (the [`crate::SegmentCursor`] walk order for
-//! sorted input), with per-record timestamps delta-encoded against the
-//! previous record. Replay therefore reads events in exactly the order
+//! Segment frames store their records *interleaved* in the
+//! [`crate::SegmentCursor`] walk order — the one merge order of the
+//! workspace, chronological for sorted input — with per-record timestamps
+//! delta-encoded against the previous record. Replay therefore reads events in exactly the order
 //! synthesis consumes them — [`decode_segment_events`] streams records
 //! straight into a callback with no intermediate segment buffer, and the
 //! equal-timestamp tie contract (ROS2 before scheduler) is a structural
@@ -39,7 +38,7 @@
 use crate::event::{CallbackKind, RosEvent, RosPayload};
 use crate::ids::{CallbackId, Cpu, Pid, Priority};
 use crate::sched_event::{SchedEvent, SchedEventKind, ThreadState};
-use crate::sink::{EventSink, OwnedSegmentEvent, TraceSegment};
+use crate::sink::{EventSink, OwnedSegmentEvent, SegmentEvent, TraceSegment};
 use crate::time::Nanos;
 use crate::topic::{SourceTimestamp, Topic, TopicKind};
 use rtms_util::{varint, FxHashMap};
@@ -377,20 +376,19 @@ pub fn decode_dict_entries(payload: &[u8], dict: &mut Vec<Arc<str>>) -> Result<(
 
 /// Encodes one segment as a segment frame payload: the segment's run
 /// index, both stream lengths, then the records of both streams
-/// *interleaved* — a two-pointer merge that preserves each stream's own
-/// order and, on a cross-stream timestamp tie, writes the ROS2 record
-/// first. For the time-sorted segments every producer path emits, the
-/// on-disk record order therefore *is* the [`crate::SegmentCursor`] walk
-/// order, which is what lets replay feed a decoded frame straight into
-/// synthesis without re-merging (and makes the equal-timestamp tie
-/// contract a structural property of the format).
+/// *interleaved* in [`crate::SegmentCursor`] walk order — each stream's
+/// own order preserved, the ROS2 record first on a cross-stream timestamp
+/// tie. The on-disk record order therefore *is* the order synthesis walks
+/// a live segment in, which is what lets replay feed a decoded frame
+/// straight into synthesis without re-merging (and makes the
+/// equal-timestamp tie contract a structural property of the format).
 ///
 /// Timestamps are delta-encoded: each record stores the ZigZag varint
 /// difference from the previous record's timestamp (starting from zero),
 /// so the near-sorted walk costs one or two bytes per time instead of a
 /// full absolute varint.
 ///
-/// Because the merge is stable per stream, decoding reconstructs both
+/// Because the walk keeps each stream's order, decoding reconstructs both
 /// streams exactly as inserted — the round trip is byte-exact for *any*
 /// segment, sorted or not.
 ///
@@ -399,26 +397,14 @@ pub fn decode_dict_entries(payload: &[u8], dict: &mut Vec<Arc<str>>) -> Result<(
 /// [`TopicInterner::pending`] in a dictionary frame *before* this frame.
 pub fn encode_segment(segment: &TraceSegment, dict: &mut TopicInterner, out: &mut Vec<u8>) {
     varint::write_u64(out, segment.index() as u64);
-    let ros = segment.ros_events();
-    let sched = segment.sched_events();
-    varint::write_u64(out, ros.len() as u64);
-    varint::write_u64(out, sched.len() as u64);
+    varint::write_u64(out, segment.ros_events().len() as u64);
+    varint::write_u64(out, segment.sched_events().len() as u64);
     let mut prev = Nanos::from_nanos(0);
-    let (mut ri, mut si) = (0, 0);
-    while ri < ros.len() && si < sched.len() {
-        if ros[ri].time <= sched[si].time {
-            encode_ros_event(&ros[ri], &mut prev, dict, out);
-            ri += 1;
-        } else {
-            encode_sched_event(&sched[si], &mut prev, out);
-            si += 1;
+    for event in segment.cursor() {
+        match event {
+            SegmentEvent::Ros(e) => encode_ros_event(e, &mut prev, dict, out),
+            SegmentEvent::Sched(e) => encode_sched_event(e, &mut prev, out),
         }
-    }
-    for e in &ros[ri..] {
-        encode_ros_event(e, &mut prev, dict, out);
-    }
-    for e in &sched[si..] {
-        encode_sched_event(e, &mut prev, out);
     }
 }
 

@@ -6,13 +6,13 @@
 //! module provides the vocabulary for that flow:
 //!
 //! - [`EventSink`] — anything events can be drained into: a [`Trace`], a
-//!   [`TraceSegment`], or an incremental consumer like the synthesis
-//!   session in `rtms-core`.
+//!   [`TraceSegment`], or a segment-file writer.
 //! - [`TraceSegment`] — the events of one bounded collection window, with
 //!   its position in the run.
-//! - [`SegmentCursor`] / [`SegmentEvent`] — a chronological walk over the
+//! - [`SegmentCursor`] / [`SegmentEvent`] — the one walk order over the
 //!   ROS2 and scheduler streams *merged by timestamp*, which is the order
-//!   an online consumer must observe events in.
+//!   an online consumer must observe events in. Synthesis and the segment
+//!   codec both walk it.
 //! - [`split_by_events`] — re-segments an existing trace, the tool the
 //!   streaming/batch equivalence suites are built on.
 
@@ -73,8 +73,8 @@ impl EventSink for Trace {
 /// stop/store/restart cycle of the Fig. 2 deployment flow.
 ///
 /// A segment is a [`Trace`] in miniature plus its position (`index`) in the
-/// run; [`TraceSegment::cursor`] walks its two streams merged
-/// chronologically, which is what an incremental consumer needs.
+/// run; [`TraceSegment::cursor`] walks its two streams merged by
+/// timestamp, which is what an incremental consumer needs.
 ///
 /// # Example
 ///
@@ -136,12 +136,6 @@ impl TraceSegment {
         self.index = index;
     }
 
-    /// Whether both streams are already chronologically sorted (see
-    /// [`Trace::is_sorted_by_time`]).
-    pub fn is_sorted_by_time(&self) -> bool {
-        self.trace.is_sorted_by_time()
-    }
-
     /// Reserves capacity for the given number of additional events per
     /// stream (see [`Trace::reserve`]).
     pub fn reserve(&mut self, ros: usize, sched: usize) {
@@ -179,7 +173,8 @@ impl TraceSegment {
         self.trace.end_time()
     }
 
-    /// A chronological cursor over both streams merged by timestamp.
+    /// A cursor over both streams merged by timestamp — chronological for
+    /// a sorted segment (see [`SegmentCursor`]).
     pub fn cursor(&self) -> SegmentCursor<'_> {
         self.trace.cursor()
     }
@@ -190,17 +185,6 @@ impl TraceSegment {
         self.trace
     }
 
-    /// Consumes the segment into a chronological owned-event walk over
-    /// both streams merged by timestamp — the by-value counterpart of
-    /// [`TraceSegment::cursor`], with the identical ordering contract
-    /// (stable per stream, ROS2 first on cross-stream timestamp ties).
-    ///
-    /// An owned walk lets a consumer *move* event payloads (topic name
-    /// `Arc`s, node-name strings) into its own state instead of cloning
-    /// them; the synthesis session's sink path ingests this way.
-    pub fn into_merged(self) -> MergedEvents {
-        self.trace.into_merged()
-    }
 }
 
 impl EventSink for TraceSegment {
@@ -249,14 +233,16 @@ impl SegmentEvent<'_> {
     }
 }
 
-/// Chronological iterator over the ROS2 and scheduler streams of a segment
-/// (or whole trace), merged by timestamp.
+/// The one cross-stream walk order of the workspace: a two-pointer merge
+/// of the ROS2 and scheduler streams of a segment (or whole trace).
 ///
-/// The walk is *stable*: each stream is visited in stable time-sorted order
-/// (equal timestamps keep their emission order, exactly like
-/// [`Trace::sort_by_time`]), and on a timestamp tie between the two streams
-/// the ROS2 event is yielded first. The input slices need not be pre-sorted
-/// — the cursor sorts an index table, not the events.
+/// Each stream is visited in its stored order, and at each step the
+/// earlier head event is yielded — the ROS2 event on a timestamp tie. For
+/// time-sorted streams (the segment contract of every producer, and what
+/// [`Trace::sort_by_time`] establishes) the walk is therefore the stable
+/// chronological merge an online consumer must observe. Synthesis, the
+/// segment codec, and [`split_by_events`] all walk this cursor; callers
+/// holding possibly unsorted input sort a copy first.
 ///
 /// # Example
 ///
@@ -271,67 +257,49 @@ impl SegmentEvent<'_> {
 /// let cursor = SegmentCursor::over(&ros, &[]);
 /// assert_eq!(cursor.count(), 1);
 /// ```
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 pub struct SegmentCursor<'a> {
     ros: &'a [RosEvent],
     sched: &'a [SchedEvent],
-    ros_order: Vec<usize>,
-    sched_order: Vec<usize>,
-    ri: usize,
-    si: usize,
 }
 
 impl<'a> SegmentCursor<'a> {
     /// Creates a cursor over explicit event slices.
     pub fn over(ros: &'a [RosEvent], sched: &'a [SchedEvent]) -> SegmentCursor<'a> {
-        let mut ros_order: Vec<usize> = (0..ros.len()).collect();
-        ros_order.sort_by_key(|&i| ros[i].time);
-        let mut sched_order: Vec<usize> = (0..sched.len()).collect();
-        sched_order.sort_by_key(|&i| sched[i].time);
-        SegmentCursor { ros, sched, ros_order, sched_order, ri: 0, si: 0 }
-    }
-
-    /// Events not yet yielded.
-    pub fn remaining(&self) -> usize {
-        (self.ros_order.len() - self.ri) + (self.sched_order.len() - self.si)
+        SegmentCursor { ros, sched }
     }
 }
 
 impl<'a> Iterator for SegmentCursor<'a> {
     type Item = SegmentEvent<'a>;
 
+    #[inline]
     fn next(&mut self) -> Option<SegmentEvent<'a>> {
-        let next_ros = self.ros_order.get(self.ri).map(|&i| &self.ros[i]);
-        let next_sched = self.sched_order.get(self.si).map(|&i| &self.sched[i]);
-        match (next_ros, next_sched) {
-            (Some(r), Some(s)) => {
-                if r.time <= s.time {
-                    self.ri += 1;
-                    Some(SegmentEvent::Ros(r))
-                } else {
-                    self.si += 1;
-                    Some(SegmentEvent::Sched(s))
-                }
-            }
-            (Some(r), None) => {
-                self.ri += 1;
-                Some(SegmentEvent::Ros(r))
-            }
-            (None, Some(s)) => {
-                self.si += 1;
-                Some(SegmentEvent::Sched(s))
-            }
-            (None, None) => None,
+        let ros_next = match (self.ros.first(), self.sched.first()) {
+            (Some(r), Some(s)) => r.time <= s.time,
+            (r, _) => r.is_some(),
+        };
+        if ros_next {
+            let (r, rest) = self.ros.split_first()?;
+            self.ros = rest;
+            Some(SegmentEvent::Ros(r))
+        } else {
+            let (s, rest) = self.sched.split_first()?;
+            self.sched = rest;
+            Some(SegmentEvent::Sched(s))
         }
     }
 
     fn size_hint(&self) -> (usize, Option<usize>) {
-        let n = self.remaining();
+        let n = self.ros.len() + self.sched.len();
         (n, Some(n))
     }
 }
 
-/// One owned event yielded by [`MergedEvents`]: either stream, by value.
+impl ExactSizeIterator for SegmentCursor<'_> {}
+
+/// One decoded event, by value: what the segment decoder
+/// ([`crate::codec::decode_segment_events`]) yields.
 #[derive(Debug, Clone, PartialEq)]
 pub enum OwnedSegmentEvent {
     /// A ROS2 middleware event.
@@ -350,59 +318,6 @@ impl OwnedSegmentEvent {
     }
 }
 
-/// Chronological owned-event iterator over the two streams of a consumed
-/// [`Trace`] or [`TraceSegment`], merged by timestamp.
-///
-/// Ordering is identical to [`SegmentCursor`]: each stream is visited in
-/// stable time-sorted order and the ROS2 event wins cross-stream ties. The
-/// events themselves are *moved* to the consumer, so payload allocations
-/// (topic-name `Arc`s, node-name strings) change hands without a copy.
-#[derive(Debug)]
-pub struct MergedEvents {
-    ros: std::iter::Peekable<std::vec::IntoIter<RosEvent>>,
-    sched: std::iter::Peekable<std::vec::IntoIter<SchedEvent>>,
-}
-
-impl Iterator for MergedEvents {
-    type Item = OwnedSegmentEvent;
-
-    fn next(&mut self) -> Option<OwnedSegmentEvent> {
-        match (self.ros.peek(), self.sched.peek()) {
-            (Some(r), Some(s)) => {
-                if r.time <= s.time {
-                    self.ros.next().map(OwnedSegmentEvent::Ros)
-                } else {
-                    self.sched.next().map(OwnedSegmentEvent::Sched)
-                }
-            }
-            (Some(_), None) => self.ros.next().map(OwnedSegmentEvent::Ros),
-            (None, Some(_)) => self.sched.next().map(OwnedSegmentEvent::Sched),
-            (None, None) => None,
-        }
-    }
-
-    fn size_hint(&self) -> (usize, Option<usize>) {
-        let n = self.ros.len() + self.sched.len();
-        (n, Some(n))
-    }
-}
-
-impl ExactSizeIterator for MergedEvents {}
-
-impl Trace {
-    /// Consumes the trace into a chronological owned-event walk (see
-    /// [`TraceSegment::into_merged`] for the ordering contract).
-    pub fn into_merged(self) -> MergedEvents {
-        let (mut ros, mut sched) = self.into_events();
-        ros.sort_by_key(|e| e.time);
-        sched.sort_by_key(|e| e.time);
-        MergedEvents {
-            ros: ros.into_iter().peekable(),
-            sched: sched.into_iter().peekable(),
-        }
-    }
-}
-
 /// Re-segments a trace into chunks of at most `events_per_segment` events,
 /// walking both streams chronologically.
 ///
@@ -417,9 +332,11 @@ impl Trace {
 /// Panics if `events_per_segment` is zero.
 pub fn split_by_events(trace: &Trace, events_per_segment: usize) -> Vec<TraceSegment> {
     assert!(events_per_segment > 0, "segments must hold at least one event");
+    let mut sorted = trace.clone();
+    sorted.sort_by_time();
     let mut segments = Vec::new();
     let mut current = TraceSegment::with_index(0);
-    for event in SegmentCursor::over(trace.ros_events(), trace.sched_events()) {
+    for event in sorted.cursor() {
         if current.len() == events_per_segment {
             let index = current.index + 1;
             segments.push(std::mem::replace(&mut current, TraceSegment::with_index(index)));
@@ -481,6 +398,7 @@ mod tests {
         seg.push_ros(ros(1));
         seg.push_sched(sched(0));
         seg.push_ros(ros(2));
+        seg.sort_by_time();
         let times: Vec<(bool, u64)> = seg
             .cursor()
             .map(|e| (matches!(e, SegmentEvent::Ros(_)), e.time().as_nanos()))
@@ -490,8 +408,7 @@ mod tests {
 
     #[test]
     fn cursor_is_stable_for_equal_timestamps() {
-        // Two ROS events at the same instant keep their emission order even
-        // when the underlying vector is unsorted elsewhere.
+        // Two ROS events at the same instant keep their stored order.
         let a = ros(7);
         let b = RosEvent::new(
             Nanos::from_nanos(7),
@@ -509,47 +426,21 @@ mod tests {
     }
 
     #[test]
-    fn owned_merge_matches_cursor_order() {
+    fn cursor_keeps_the_stored_order_of_each_stream() {
+        // Unsorted streams are walked as stored — what lets the codec
+        // round-trip any segment byte-exactly.
         let mut seg = TraceSegment::new();
         seg.push_sched(sched(1));
         seg.push_ros(ros(1));
         seg.push_sched(sched(0));
         seg.push_ros(ros(2));
         seg.push_ros(ros(1));
-        let by_ref: Vec<(bool, u64)> = seg
-            .cursor()
+        let cursor = seg.cursor();
+        assert_eq!(cursor.len(), 5);
+        let walked: Vec<(bool, u64)> = cursor
             .map(|e| (matches!(e, SegmentEvent::Ros(_)), e.time().as_nanos()))
             .collect();
-        let merged = seg.into_merged();
-        assert_eq!(merged.len(), by_ref.len());
-        let by_val: Vec<(bool, u64)> = merged
-            .map(|e| (matches!(e, OwnedSegmentEvent::Ros(_)), e.time().as_nanos()))
-            .collect();
-        assert_eq!(by_val, by_ref, "owned walk must match the cursor's order");
-    }
-
-    #[test]
-    fn owned_merge_moves_payload_allocations() {
-        use crate::topic::{SourceTimestamp, Topic};
-        let topic = Topic::plain("/shared");
-        let name = std::sync::Arc::clone(topic.name_arc());
-        let mut trace = Trace::new();
-        trace.push_ros(RosEvent::new(
-            Nanos::from_nanos(1),
-            Pid::new(1),
-            RosPayload::TakeData {
-                callback: crate::ids::CallbackId::new(1),
-                topic,
-                src_ts: SourceTimestamp::new(1),
-            },
-        ));
-        let event = trace.into_merged().next().expect("one event");
-        let OwnedSegmentEvent::Ros(e) = event else { panic!("ros event") };
-        let RosPayload::TakeData { topic, .. } = e.payload else { panic!("take data") };
-        assert!(
-            std::sync::Arc::ptr_eq(topic.name_arc(), &name),
-            "the name allocation must survive the owned walk"
-        );
+        assert_eq!(walked, vec![(true, 1), (false, 1), (false, 0), (true, 2), (true, 1)]);
     }
 
     #[test]

@@ -1,197 +1,22 @@
 //! File-backed trace storage — the "trace database" of Fig. 2.
 //!
-//! Two stores live here:
-//!
-//! - [`TraceStore`] — the original JSON directory tree
-//!   (`<root>/<mode-or-default>/<session>/<segment>.json`), human-readable
-//!   and archival.
-//! - [`SegmentWriter`]/[`SegmentReader`]/[`IndexedSegmentFile`] — the
-//!   compact binary segment-file container built on
-//!   [`crate::codec`]: one file per run, topic names written once through
-//!   the interning dictionary, every frame length-prefixed and
-//!   CRC-32-checked, with a seekable index at the end. This is the
-//!   record-once-replay-many format (`docs/TRACE_FORMAT.md`): a
-//!   `Ros2World` can record straight to disk through the
-//!   [`crate::EventSink`] impl, and a synthesis session can replay
-//!   straight from the reader at far beyond collection speed.
+//! [`SegmentWriter`]/[`SegmentReader`]/[`IndexedSegmentFile`] implement
+//! the compact binary segment-file container built on [`crate::codec`]:
+//! one file per run, topic names written once through the interning
+//! dictionary, every frame length-prefixed and CRC-32-checked, with a
+//! seekable index at the end. This is the record-once-replay-many format
+//! (`docs/TRACE_FORMAT.md`): a `Ros2World` can record straight to disk
+//! through the [`crate::EventSink`] impl, and a synthesis session can
+//! replay straight from the reader at far beyond collection speed.
 
 use crate::codec::{self, CodecError, TopicInterner};
-use crate::session::{TraceDatabase, TraceSession};
 use crate::sink::{EventSink, OwnedSegmentEvent, TraceSegment};
-use crate::trace::Trace;
 use crate::{RosEvent, SchedEvent};
 use serde::Serialize;
-use std::fmt;
 use std::fs;
 use std::io::{self, Read, Seek, SeekFrom, Write};
-use std::path::{Path, PathBuf};
+use std::path::Path;
 use std::sync::Arc;
-
-/// Errors from the trace store.
-#[derive(Debug)]
-pub enum StoreError {
-    /// Filesystem failure.
-    Io(io::Error),
-    /// A stored segment could not be parsed.
-    Corrupt {
-        /// The offending file.
-        path: PathBuf,
-        /// The parse failure.
-        source: serde_json::Error,
-    },
-}
-
-impl fmt::Display for StoreError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            StoreError::Io(e) => write!(f, "trace store I/O failure: {e}"),
-            StoreError::Corrupt { path, source } => {
-                write!(f, "corrupt trace segment {}: {source}", path.display())
-            }
-        }
-    }
-}
-
-impl std::error::Error for StoreError {
-    fn source(&self) -> Option<&(dyn std::error::Error + 'static)> {
-        match self {
-            StoreError::Io(e) => Some(e),
-            StoreError::Corrupt { source, .. } => Some(source),
-        }
-    }
-}
-
-impl From<io::Error> for StoreError {
-    fn from(e: io::Error) -> Self {
-        StoreError::Io(e)
-    }
-}
-
-/// Directory name used for sessions without a mode tag.
-const DEFAULT_MODE_DIR: &str = "_default";
-
-/// A directory-backed trace database.
-///
-/// # Example
-///
-/// ```no_run
-/// use rtms_trace::{Trace, TraceSession, store::TraceStore};
-///
-/// let store = TraceStore::open("/var/traces/avp")?;
-/// let mut session = TraceSession::new("run-07");
-/// session.push_segment(Trace::new());
-/// store.save_session(None, &session)?;
-/// let db = store.load()?;
-/// assert_eq!(db.len(), 1);
-/// # Ok::<(), rtms_trace::store::StoreError>(())
-/// ```
-#[derive(Debug, Clone)]
-pub struct TraceStore {
-    root: PathBuf,
-}
-
-impl TraceStore {
-    /// Opens (creating if necessary) a store rooted at `root`.
-    ///
-    /// # Errors
-    ///
-    /// Returns an error if the directory cannot be created.
-    pub fn open(root: impl Into<PathBuf>) -> Result<TraceStore, StoreError> {
-        let root = root.into();
-        fs::create_dir_all(&root)?;
-        Ok(TraceStore { root })
-    }
-
-    /// The store's root directory.
-    pub fn root(&self) -> &Path {
-        &self.root
-    }
-
-    /// Persists one session (all its segments) under the given mode tag.
-    ///
-    /// # Errors
-    ///
-    /// Returns an error on any filesystem or serialization failure.
-    pub fn save_session(
-        &self,
-        mode: Option<&str>,
-        session: &TraceSession,
-    ) -> Result<(), StoreError> {
-        let dir = self
-            .root
-            .join(mode.unwrap_or(DEFAULT_MODE_DIR))
-            .join(session.label());
-        fs::create_dir_all(&dir)?;
-        for (i, segment) in session.segments().iter().enumerate() {
-            let path = dir.join(format!("segment-{i:04}.json"));
-            let json = segment.to_json().map_err(|source| StoreError::Corrupt {
-                path: path.clone(),
-                source,
-            })?;
-            fs::write(&path, json)?;
-        }
-        Ok(())
-    }
-
-    /// Loads every stored session into a [`TraceDatabase`], restoring mode
-    /// tags.
-    ///
-    /// # Errors
-    ///
-    /// Returns an error on filesystem failures or corrupt segments.
-    pub fn load(&self) -> Result<TraceDatabase, StoreError> {
-        let mut db = TraceDatabase::new();
-        let mut mode_dirs: Vec<PathBuf> = fs::read_dir(&self.root)?
-            .filter_map(|e| e.ok())
-            .map(|e| e.path())
-            .filter(|p| p.is_dir())
-            .collect();
-        mode_dirs.sort();
-        for mode_dir in mode_dirs {
-            let mode_name = mode_dir
-                .file_name()
-                .and_then(|n| n.to_str())
-                .unwrap_or(DEFAULT_MODE_DIR)
-                .to_string();
-            let mut session_dirs: Vec<PathBuf> = fs::read_dir(&mode_dir)?
-                .filter_map(|e| e.ok())
-                .map(|e| e.path())
-                .filter(|p| p.is_dir())
-                .collect();
-            session_dirs.sort();
-            for session_dir in session_dirs {
-                let label = session_dir
-                    .file_name()
-                    .and_then(|n| n.to_str())
-                    .unwrap_or("unnamed")
-                    .to_string();
-                let mut session = TraceSession::new(label);
-                let mut segment_files: Vec<PathBuf> = fs::read_dir(&session_dir)?
-                    .filter_map(|e| e.ok())
-                    .map(|e| e.path())
-                    .filter(|p| p.extension().is_some_and(|x| x == "json"))
-                    .collect();
-                segment_files.sort();
-                for path in segment_files {
-                    let json = fs::read_to_string(&path)?;
-                    let segment = Trace::from_json(&json)
-                        .map_err(|source| StoreError::Corrupt { path: path.clone(), source })?;
-                    session.push_segment(segment);
-                }
-                if mode_name == DEFAULT_MODE_DIR {
-                    db.insert(session);
-                } else {
-                    db.insert_with_mode(mode_name.clone(), session);
-                }
-            }
-        }
-        Ok(db)
-    }
-}
-
-// ---------------------------------------------------------------------------
-// Binary segment files
-// ---------------------------------------------------------------------------
 
 /// File magic: the first eight bytes of every segment file.
 pub const SEGMENT_FILE_MAGIC: [u8; 8] = *b"RTMS-SEG";
@@ -904,9 +729,11 @@ fn parse_index(payload: &[u8]) -> Result<(Vec<u64>, Vec<SegmentIndexEntry>), Cod
 mod tests {
     use super::*;
     use crate::event::{CallbackKind, RosPayload};
-    use crate::ids::Pid;
+    use crate::ids::{CallbackId, Cpu, Pid, Priority};
+    use crate::sched_event::ThreadState;
     use crate::time::Nanos;
-    use crate::RosEvent;
+    use crate::topic::{SourceTimestamp, Topic};
+    use std::path::PathBuf;
 
     fn tmp_root(tag: &str) -> PathBuf {
         let dir = std::env::temp_dir().join(format!(
@@ -916,71 +743,6 @@ mod tests {
         let _ = fs::remove_dir_all(&dir);
         dir
     }
-
-    fn segment(t: u64) -> Trace {
-        let mut tr = Trace::new();
-        tr.push_ros(RosEvent::new(
-            Nanos::from_millis(t),
-            Pid::new(1),
-            RosPayload::CallbackStart { kind: CallbackKind::Timer },
-        ));
-        tr
-    }
-
-    #[test]
-    fn save_and_load_round_trip() {
-        let root = tmp_root("roundtrip");
-        let store = TraceStore::open(&root).expect("open");
-        let mut s1 = TraceSession::new("run-1");
-        s1.push_segment(segment(1));
-        s1.push_segment(segment(2));
-        store.save_session(None, &s1).expect("save");
-        let mut s2 = TraceSession::new("run-2");
-        s2.push_segment(segment(3));
-        store.save_session(Some("city"), &s2).expect("save");
-
-        let db = store.load().expect("load");
-        assert_eq!(db.len(), 2);
-        assert_eq!(db.modes(), vec!["city"]);
-        let city: Vec<_> = db.sessions_for_mode("city").collect();
-        assert_eq!(city.len(), 1);
-        assert_eq!(city[0].segments().len(), 1);
-        let all = db.merged_all();
-        assert_eq!(all.ros_events().len(), 3);
-        let _ = fs::remove_dir_all(&root);
-    }
-
-    #[test]
-    fn corrupt_segment_reported_with_path() {
-        let root = tmp_root("corrupt");
-        let store = TraceStore::open(&root).expect("open");
-        let dir = root.join("_default").join("bad");
-        fs::create_dir_all(&dir).expect("mkdir");
-        fs::write(dir.join("segment-0000.json"), "{not json").expect("write");
-        match store.load() {
-            Err(StoreError::Corrupt { path, .. }) => {
-                assert!(path.to_string_lossy().contains("segment-0000.json"));
-            }
-            other => panic!("expected corrupt error, got {other:?}"),
-        }
-        let _ = fs::remove_dir_all(&root);
-    }
-
-    #[test]
-    fn empty_store_loads_empty_database() {
-        let root = tmp_root("empty");
-        let store = TraceStore::open(&root).expect("open");
-        let db = store.load().expect("load");
-        assert!(db.is_empty());
-        let _ = fs::remove_dir_all(&root);
-    }
-
-    // -- binary segment files ----------------------------------------------
-
-    use crate::ids::{CallbackId, Cpu, Priority};
-    use crate::sched_event::ThreadState;
-    use crate::topic::{SourceTimestamp, Topic};
-    use crate::SchedEvent;
 
     fn sample_segment(index: usize, base: u64) -> TraceSegment {
         let mut seg = TraceSegment::with_index(index);

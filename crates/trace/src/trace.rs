@@ -51,8 +51,9 @@ impl Trace {
         (self.ros_events, self.sched_events)
     }
 
-    /// A chronological cursor over both event streams merged by timestamp
-    /// (see [`crate::sink::SegmentCursor`] for the ordering contract).
+    /// A cursor over both event streams merged by timestamp — chronological
+    /// once the trace is sorted (see [`crate::sink::SegmentCursor`] for the
+    /// ordering contract).
     pub fn cursor(&self) -> crate::sink::SegmentCursor<'_> {
         crate::sink::SegmentCursor::over(&self.ros_events, &self.sched_events)
     }
@@ -119,14 +120,6 @@ impl Trace {
         }
     }
 
-    /// Whether both event streams are already in chronological order — the
-    /// precondition for the zero-allocation two-pointer merge consumers use
-    /// instead of building a [`crate::sink::SegmentCursor`] index table.
-    pub fn is_sorted_by_time(&self) -> bool {
-        self.ros_events.is_sorted_by_key(|e| e.time)
-            && self.sched_events.is_sorted_by_key(|e| e.time)
-    }
-
     /// Moves all events out of `events` onto the end of the ROS2 stream.
     ///
     /// When this trace's stream is empty the two vectors are *swapped*, so
@@ -185,33 +178,6 @@ impl Trace {
             (Some(a), Some(b)) => Some(a.max(b)),
             (a, b) => a.or(b),
         }
-    }
-
-    /// Total encoded size in bytes of all events, modeling the on-disk
-    /// footprint of the exported trace (Sec. VI trace-volume experiment).
-    pub fn encoded_size(&self) -> usize {
-        self.ros_events.iter().map(RosEvent::encoded_size).sum::<usize>()
-            + self.sched_events.iter().map(SchedEvent::encoded_size).sum::<usize>()
-    }
-
-    /// Serializes the trace to JSON (the portable format the trace database
-    /// of Fig. 2 stores segments in).
-    ///
-    /// # Errors
-    ///
-    /// Returns an error if serialization fails (it cannot for this type,
-    /// but the signature is honest about the serde contract).
-    pub fn to_json(&self) -> Result<String, serde_json::Error> {
-        serde_json::to_string(self)
-    }
-
-    /// Deserializes a trace from JSON.
-    ///
-    /// # Errors
-    ///
-    /// Returns an error if `json` is not a valid serialized [`Trace`].
-    pub fn from_json(json: &str) -> Result<Trace, serde_json::Error> {
-        serde_json::from_str(json)
     }
 }
 
@@ -275,27 +241,6 @@ mod tests {
         assert_eq!(a.ros_events()[0].time, Nanos::from_nanos(10));
         assert_eq!(a.sched_events()[0].time, Nanos::from_nanos(5));
         assert_eq!(a.end_time(), Some(Nanos::from_nanos(30)));
-    }
-
-    #[test]
-    fn encoded_size_sums_both_streams() {
-        let mut t = Trace::new();
-        t.push_ros(ros(1, 1));
-        t.push_sched(sched(2));
-        assert_eq!(
-            t.encoded_size(),
-            t.ros_events()[0].encoded_size() + t.sched_events()[0].encoded_size()
-        );
-    }
-
-    #[test]
-    fn json_round_trip() {
-        let mut t = Trace::new();
-        t.push_ros(ros(1, 1));
-        t.push_sched(sched(2));
-        let json = t.to_json().expect("serialize");
-        let back = Trace::from_json(&json).expect("deserialize");
-        assert_eq!(t, back);
     }
 
     #[test]

@@ -1,9 +1,11 @@
 //! Property-based tests of the trace data model.
 
 use proptest::prelude::*;
+use rtms_trace::codec::{decode_segment_events, encode_segment};
 use rtms_trace::{
     split_by_events, CallbackId, CallbackKind, Cpu, Nanos, OwnedSegmentEvent, Pid, Priority,
-    RosEvent, RosPayload, SchedEvent, SegmentEvent, SourceTimestamp, ThreadState, Topic, Trace,
+    RosEvent, RosPayload, SchedEvent, SegmentEvent, SourceTimestamp, ThreadState, Topic,
+    TopicInterner, Trace,
 };
 
 fn arb_nanos() -> impl Strategy<Value = Nanos> {
@@ -71,8 +73,8 @@ fn arb_sched_event() -> impl Strategy<Value = SchedEvent> {
 }
 
 /// Clones a by-ref cursor event into the owned representation, so walks
-/// over different segmentations (and over by-ref vs owned cursors)
-/// compare exactly.
+/// over different segmentations (and decoded segment frames) compare
+/// exactly.
 fn to_owned_event(e: SegmentEvent<'_>) -> OwnedSegmentEvent {
     match e {
         SegmentEvent::Ros(r) => OwnedSegmentEvent::Ros(r.clone()),
@@ -141,7 +143,8 @@ proptest! {
         let mut t = Trace::new();
         for e in evs { t.push_ros(e); }
         for s in sched { t.push_sched(s); }
-        let back = Trace::from_json(&t.to_json().expect("ser")).expect("de");
+        let back: Trace =
+            serde_json::from_str(&serde_json::to_string(&t).expect("ser")).expect("de");
         prop_assert_eq!(back, t);
     }
 
@@ -192,8 +195,11 @@ proptest! {
             t.push_sched(s);
         }
 
-        // Reference walk over the unsegmented trace.
-        let reference: Vec<OwnedSegmentEvent> = t.cursor().map(to_owned_event).collect();
+        // Reference walk over the unsegmented trace, sorted; `t` itself
+        // stays unsorted so `split_by_events` has to order it.
+        let mut sorted = t.clone();
+        sorted.sort_by_time();
+        let reference: Vec<OwnedSegmentEvent> = sorted.cursor().map(to_owned_event).collect();
 
         // The walk is chronological; at a shared timestamp every ROS2
         // event precedes every scheduler event.
@@ -209,7 +215,8 @@ proptest! {
         }
 
         // Re-segmentation at any granularity reproduces the identical
-        // sequence, both via per-segment cursors and via the owned walk.
+        // sequence, both via per-segment cursors and via the on-disk
+        // record order of each encoded segment.
         let segments = split_by_events(&t, per_segment);
         let walked: Vec<OwnedSegmentEvent> = segments
             .iter()
@@ -217,11 +224,15 @@ proptest! {
             .collect();
         prop_assert_eq!(&walked, &reference);
 
-        let owned: Vec<OwnedSegmentEvent> = segments
-            .into_iter()
-            .flat_map(|s| s.into_merged().collect::<Vec<_>>())
-            .collect();
-        prop_assert_eq!(&owned, &reference);
+        let mut dict = TopicInterner::new();
+        let mut decoded = Vec::new();
+        for segment in &segments {
+            let mut payload = Vec::new();
+            encode_segment(segment, &mut dict, &mut payload);
+            decode_segment_events(&payload, dict.entries(), |e| decoded.push(e))
+                .expect("decodes");
+        }
+        prop_assert_eq!(&decoded, &reference);
     }
 
     #[test]

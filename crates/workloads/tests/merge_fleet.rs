@@ -153,7 +153,6 @@ fn tilde_labels_stable_across_windows_of_one_run() {
     for seg in &segments {
         full_session.feed_segment(seg);
     }
-    full_session.flush();
     let full = {
         let mut m = full_session.model();
         m.canonicalize();
@@ -173,7 +172,6 @@ fn tilde_labels_stable_across_windows_of_one_run() {
         .map(|seg| {
             let mut s = SynthesisSession::with_names(std::sync::Arc::clone(&names));
             s.feed_segment(seg);
-            s.flush();
             s.model()
         })
         .collect();

@@ -31,10 +31,10 @@ fn reference_model(trace: &Trace) -> Dag {
     Dag::from_cblists(&lists, &node_name_map(trace))
 }
 
-/// The zero-copy contract of the owned ingestion path: a plain topic's
-/// name allocation — created once by the tracer side — is the *same*
-/// `Arc<str>` after traveling sink → session → model. No event payload is
-/// cloned on the way.
+/// The zero-copy contract of the ingestion path: a plain topic's name
+/// allocation — created once by the tracer side — is the *same* `Arc<str>`
+/// after traveling sink → segment → session → model. Topic names are
+/// shared, never copied, on the way.
 #[test]
 fn topic_name_arcs_survive_sink_to_session_to_dag() {
     use rtms_trace::{
@@ -47,16 +47,16 @@ fn topic_name_arcs_survive_sink_to_session_to_dag() {
     let in_name = Arc::clone(in_topic.name_arc());
     let out_name = Arc::clone(out_topic.name_arc());
 
-    // Producer side: events pushed through the EventSink interface, as a
-    // perf-buffer drain would.
-    let mut session = SynthesisSession::new();
+    // Producer side: events pushed through the EventSink interface into a
+    // segment, as a perf-buffer drain would.
+    let mut segment = TraceSegment::new();
     let pid = Pid::new(4);
-    session.push_ros(RosEvent::new(
+    segment.push_ros(RosEvent::new(
         Nanos::from_millis(0),
         pid,
         RosPayload::CallbackStart { kind: CallbackKind::Subscriber },
     ));
-    session.push_ros(RosEvent::new(
+    segment.push_ros(RosEvent::new(
         Nanos::from_millis(0),
         pid,
         RosPayload::TakeData {
@@ -65,12 +65,12 @@ fn topic_name_arcs_survive_sink_to_session_to_dag() {
             src_ts: SourceTimestamp::new(7),
         },
     ));
-    session.push_ros(RosEvent::new(
+    segment.push_ros(RosEvent::new(
         Nanos::from_millis(1),
         pid,
         RosPayload::DdsWrite { topic: out_topic, src_ts: SourceTimestamp::new(8) },
     ));
-    session.push_ros(RosEvent::new(
+    segment.push_ros(RosEvent::new(
         Nanos::from_millis(2),
         pid,
         RosPayload::CallbackEnd { kind: CallbackKind::Subscriber },
@@ -79,12 +79,12 @@ fn topic_name_arcs_survive_sink_to_session_to_dag() {
     // sample the first callback published — the same `Topic` value, as a
     // real drain would deliver it.
     let downstream = Pid::new(5);
-    session.push_ros(RosEvent::new(
+    segment.push_ros(RosEvent::new(
         Nanos::from_millis(3),
         downstream,
         RosPayload::CallbackStart { kind: CallbackKind::Subscriber },
     ));
-    session.push_ros(RosEvent::new(
+    segment.push_ros(RosEvent::new(
         Nanos::from_millis(3),
         downstream,
         RosPayload::TakeData {
@@ -93,12 +93,13 @@ fn topic_name_arcs_survive_sink_to_session_to_dag() {
             src_ts: SourceTimestamp::new(8),
         },
     ));
-    session.push_ros(RosEvent::new(
+    segment.push_ros(RosEvent::new(
         Nanos::from_millis(4),
         downstream,
         RosPayload::CallbackEnd { kind: CallbackKind::Subscriber },
     ));
-    session.flush();
+    let mut session = SynthesisSession::new();
+    session.feed_segment(&segment);
 
     // Both names reach the callback record without a copy ...
     let lists = session.callback_lists();
