@@ -105,9 +105,10 @@ impl CbList {
     /// allocation-lean twin of [`CbList::add_instance`] for the streaming
     /// hot path. When the matching entry already exists (the overwhelming
     /// case in a long run), only the new sample is appended: no
-    /// single-element vectors are materialized and the moved `outs` merge
-    /// without cloning. Behaviour is identical to building a one-sample
-    /// [`CallbackRecord`] and calling [`CbList::add_instance`].
+    /// single-element vectors are materialized, and `outs` is consumed as
+    /// an iterator, merging its names without cloning or collecting them.
+    /// Behaviour is identical to building a one-sample [`CallbackRecord`]
+    /// and calling [`CbList::add_instance`].
     #[allow(clippy::too_many_arguments)] // the parts of one instance, hot path
     pub fn fold_instance(
         &mut self,
@@ -115,7 +116,7 @@ impl CbList {
         id: CallbackId,
         kind: CallbackKind,
         in_topic: Option<Arc<str>>,
-        outs: Vec<Arc<str>>,
+        outs: impl IntoIterator<Item = Arc<str>>,
         sync: bool,
         exec: Nanos,
         start: Nanos,
@@ -143,7 +144,7 @@ impl CbList {
                 id,
                 kind,
                 in_topic,
-                out_topics: outs,
+                out_topics: outs.into_iter().collect(),
                 is_sync_subscriber: sync,
                 stats: ExecStats::from_samples([exec]),
                 exec_times: vec![exec],
@@ -289,7 +290,7 @@ mod tests {
                 CallbackId::new(id),
                 kind,
                 in_topic.map(Arc::from),
-                outs.iter().map(|s| Arc::from(*s)).collect(),
+                outs.iter().map(|s| Arc::from(*s)),
                 sync,
                 Nanos::from_millis(ms),
                 Nanos::ZERO,

@@ -5,6 +5,7 @@ use crate::stats::ExecStats;
 use rtms_trace::{CallbackId, CallbackKind, Nanos, Pid};
 use rtms_util::FxHashMap;
 use serde::{Deserialize, Serialize};
+use std::borrow::Borrow;
 use std::collections::{BTreeMap, HashMap};
 use std::fmt;
 use std::sync::Arc;
@@ -124,7 +125,14 @@ impl Dag {
     /// observation order — so two models extracted from different windows
     /// of one run label the same callback identically even when the
     /// callbacks first complete in a different order.
-    pub fn from_cblists(lists: &[(Pid, CbList)], node_names: &HashMap<Pid, String>) -> Dag {
+    ///
+    /// The lists may be owned or borrowed (anything that borrows as a
+    /// [`CbList`]): a streaming session builds its model straight from
+    /// the lists it holds, without copying them first.
+    pub fn from_cblists<L: Borrow<CbList>>(
+        lists: &[(Pid, L)],
+        node_names: &HashMap<Pid, String>,
+    ) -> Dag {
         let node_of = |pid: Pid| {
             node_names.get(&pid).cloned().unwrap_or_else(|| format!("pid:{}", pid.get()))
         };
@@ -134,7 +142,7 @@ impl Dag {
         let mut canon: FxHashMap<CallbackId, String> = FxHashMap::default();
         let mut labeled: Vec<(String, CallbackId)> = Vec::new();
         for (pid, list) in lists {
-            for rec in list.entries() {
+            for rec in list.borrow().entries() {
                 if canon.contains_key(&rec.id) {
                     continue;
                 }
@@ -174,7 +182,7 @@ impl Dag {
         // Vertices.
         let mut dag = Dag::new();
         for (pid, list) in lists {
-            for rec in list.entries() {
+            for rec in list.borrow().entries() {
                 let mut period = ExecStats::new();
                 for w in rec.start_times.windows(2) {
                     period.push(w[1] - w[0]);

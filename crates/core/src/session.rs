@@ -27,10 +27,11 @@ use crate::cblist::{CallbackRecord, CbList};
 use crate::dag::Dag;
 use crate::stats::ExecStats;
 use rtms_trace::{
-    CallbackId, CallbackKind, Nanos, OwnedSegmentEvent, Pid, RosEvent, RosPayload, SchedEvent,
-    SchedEventKind, SegmentCursor, SegmentEvent, SourceTimestamp, Topic, Trace, TraceSegment,
+    CallbackId, CallbackKind, EventView, Nanos, Pid, RosEvent, RosEventView, RosPayloadView,
+    SchedEvent, SchedEventKind, SegmentCursor, SourceTimestamp, Topic, Trace, TraceSegment,
 };
 use rtms_util::FxHashMap;
+use std::borrow::Cow;
 use std::collections::{HashMap, VecDeque};
 use std::sync::Arc;
 
@@ -108,6 +109,16 @@ enum OutSlot {
     AwaitClient { topic: Topic, src_ts: SourceTimestamp },
 }
 
+impl OutSlot {
+    /// The decorated name of a slot known to be resolved.
+    fn into_ready(self) -> Arc<str> {
+        match self {
+            OutSlot::Ready(name) => name,
+            OutSlot::AwaitClient { .. } => unreachable!("folded with an unresolved slot"),
+        }
+    }
+}
+
 /// A callback instance currently being assembled (between its start and
 /// end events, which may lie in different segments).
 #[derive(Debug)]
@@ -139,7 +150,8 @@ impl OpenInstance {
     }
 }
 
-/// A completed instance whose response decorations are not all known yet.
+/// A completed instance that cannot fold yet: its response decorations
+/// are not all known, or an earlier instance of its node is still pending.
 /// It folds into the callback list as soon as it is fully resolved — but
 /// never before an earlier instance of the same node, so entries keep the
 /// first-seen order batch extraction produces.
@@ -167,6 +179,9 @@ struct PidState {
     /// `take_type_erased_response` dispatch decision: `(srcTS, topic,
     /// observation index)`.
     awaiting_dispatch: Vec<(SourceTimestamp, Topic, usize)>,
+    /// Completed instances waiting to fold, in completion order. The
+    /// front, if any, always has an unresolved slot: everything resolved
+    /// behind an empty or resolved front has already folded.
     pending: VecDeque<PendingInstance>,
     list: CbList,
 }
@@ -322,6 +337,8 @@ pub struct SynthesisSession {
     events_fed: u64,
     peak_segment_events: usize,
     peak_watermark: usize,
+    dropped_unidentified: u64,
+    overwritten_instances: u64,
 }
 
 impl Default for SynthesisSession {
@@ -353,6 +370,8 @@ impl SynthesisSession {
             events_fed: 0,
             peak_segment_events: 0,
             peak_watermark: 0,
+            dropped_unidentified: 0,
+            overwritten_instances: 0,
         }
     }
 
@@ -376,11 +395,12 @@ impl SynthesisSession {
     ///
     /// Decode is *fused* into the synthesis walk: segment frames store
     /// their records in exactly the merged chronological order the walker
-    /// consumes, so each event goes codec → state machine with no
-    /// intermediate segment buffer, no re-sort, and no cursor merge.
-    /// Replay memory is one frame buffer, and the
-    /// per-event cost is decode plus the same `on_ros`/`on_sched` work
-    /// the live path does. Feeding a reader positioned at the
+    /// consumes, so each record goes codec → state machine as a borrowed
+    /// [`EventView`] with no intermediate segment buffer, no re-sort, no
+    /// cursor merge, and no owned event. Replay memory is one frame
+    /// buffer plus the reader's topic table, and the per-event cost is
+    /// decode plus the same walker step the live path takes. Feeding a
+    /// reader positioned at the
     /// start of a file recorded by `Ros2World::record_segments` yields a
     /// model byte-identical to the live run's (pinned by the
     /// record-replay equivalence suite).
@@ -394,11 +414,7 @@ impl SynthesisSession {
     ) -> Result<usize, rtms_trace::CodecError> {
         let mut segments = 0;
         loop {
-            let result = reader.next_segment_events(|event| match event {
-                OwnedSegmentEvent::Ros(e) => self.on_ros(&e),
-                OwnedSegmentEvent::Sched(e) => self.on_sched(&e),
-            })?;
-            match result {
+            match reader.walk_segment(|event| self.on_event(event))? {
                 Some((_, len)) => {
                     // The event count is only known once the frame is
                     // walked; begin/end bookkeeping adjusts counters, so
@@ -437,86 +453,91 @@ impl SynthesisSession {
         let len = ros.len() + sched.len();
         self.begin_feed(len);
         for event in SegmentCursor::over(ros, sched) {
-            match event {
-                SegmentEvent::Ros(e) => self.on_ros(e),
-                SegmentEvent::Sched(e) => self.on_sched(e),
-            }
+            self.on_event(event.view());
         }
         self.end_feed(len);
     }
 
-    fn on_ros(&mut self, e: &RosEvent) {
-        let pid = e.pid;
-        match &e.payload {
-            RosPayload::NodeInit { node_name } => {
-                if self.names.get(&pid) != Some(node_name) {
-                    Arc::make_mut(&mut self.names).insert(pid, node_name.clone());
+    /// The walker's one entry: one record of either stream, borrowed.
+    /// A name `Arc` is cloned only where the walker stores it.
+    #[inline]
+    fn on_event(&mut self, event: EventView<'_>) {
+        let RosEventView { time, pid, payload } = match event {
+            EventView::Ros(e) => e,
+            EventView::Sched(e) => return self.on_switch(&e),
+        };
+        match payload {
+            RosPayloadView::NodeInit { node_name } => {
+                if self.names.get(&pid).map(String::as_str) != Some(node_name) {
+                    Arc::make_mut(&mut self.names).insert(pid, node_name.to_string());
                 }
             }
-            RosPayload::CallbackStart { kind } => {
+            RosPayloadView::CallbackStart { kind } => {
                 let seq = self.next_seq;
                 self.next_seq += 1;
                 let st = self.nodes.entry(pid);
                 st.last_identity = None;
-                st.wip = Some(OpenInstance::new(seq, *kind, e.time));
+                // A still-open instance lost its end event.
+                let lost = st.wip.replace(OpenInstance::new(seq, kind, time)).is_some();
+                self.overwritten_instances += u64::from(lost);
             }
-            RosPayload::TimerCall { callback } => {
+            RosPayloadView::TimerCall { callback } => {
                 let st = self.nodes.entry(pid);
-                st.last_identity = Some(*callback);
+                st.last_identity = Some(callback);
                 if let Some(w) = st.wip.as_mut() {
-                    w.id = Some(*callback);
+                    w.id = Some(callback);
                 }
             }
-            RosPayload::TakeData { callback, topic, .. } => {
+            RosPayloadView::TakeData { callback, topic, .. } => {
                 let st = self.nodes.entry(pid);
-                st.last_identity = Some(*callback);
+                st.last_identity = Some(callback);
                 if let Some(w) = st.wip.as_mut() {
-                    w.id = Some(*callback);
+                    w.id = Some(callback);
                     // Shared, not copied: the name allocation travels from
-                    // the tracer event into the record unchanged.
+                    // the tracer event (or the decoder's dictionary) into
+                    // the record unchanged.
                     w.in_topic = Some(topic.name_arc().clone());
                 }
             }
-            RosPayload::TakeRequest { callback, topic, src_ts } => {
+            RosPayloadView::TakeRequest { callback, topic, src_ts } => {
                 // `FindCaller`, online: the matching request write (if
                 // traced) streamed past earlier and recorded its caller;
                 // the unique server consumes the entry.
-                let in_wip =
-                    self.nodes.get(pid).is_some_and(|s| s.wip.is_some());
-                let caller = if in_wip { self.consume_write(topic, *src_ts) } else { None };
+                let in_wip = self.nodes.get(pid).is_some_and(|s| s.wip.is_some());
+                let caller = if in_wip { self.consume_write(topic, src_ts) } else { None };
                 let st = self.nodes.entry(pid);
-                st.last_identity = Some(*callback);
+                st.last_identity = Some(callback);
                 if let Some(w) = st.wip.as_mut() {
-                    w.id = Some(*callback);
+                    w.id = Some(callback);
                     w.in_topic = Some(cat_id(topic, caller));
                 }
             }
-            RosPayload::TakeResponse { callback, topic, src_ts } => {
+            RosPayloadView::TakeResponse { callback, topic, src_ts } => {
                 // Record the observation under its response key (the key
                 // exists iff the traced response write is waiting on it)
                 // and queue it for this node's next dispatch decision.
                 let mut obs_idx = None;
-                if let Some(states) = self.responses.get_mut(src_ts) {
+                if let Some(states) = self.responses.get_mut(&src_ts) {
                     if let Some(rs) = states.iter_mut().find(|r| &r.topic == topic) {
-                        rs.obs.push(RespObs { callback: *callback, dispatch: None });
+                        rs.obs.push(RespObs { callback, dispatch: None });
                         obs_idx = Some(rs.obs.len() - 1);
                     }
                 }
                 let st = self.nodes.entry(pid);
-                st.last_identity = Some(*callback);
+                st.last_identity = Some(callback);
                 if let Some(i) = obs_idx {
-                    st.awaiting_dispatch.push((*src_ts, topic.clone(), i));
+                    st.awaiting_dispatch.push((src_ts, topic.clone(), i));
                 }
                 if let Some(w) = st.wip.as_mut() {
-                    w.id = Some(*callback);
-                    w.in_topic = Some(cat_id(topic, Some(*callback)));
+                    w.id = Some(callback);
+                    w.in_topic = Some(cat_id(topic, Some(callback)));
                 }
             }
-            RosPayload::DdsWrite { topic, src_ts } => self.on_write(pid, topic, *src_ts),
-            RosPayload::ClientDispatch { will_dispatch } => {
+            RosPayloadView::DdsWrite { topic, src_ts } => self.on_write(pid, topic, src_ts),
+            RosPayloadView::ClientDispatch { will_dispatch } => {
                 let awaiting = {
                     let st = self.nodes.entry(pid);
-                    if !*will_dispatch {
+                    if !will_dispatch {
                         st.wip = None; // instance will not be dispatched (line 25)
                     }
                     std::mem::take(&mut st.awaiting_dispatch)
@@ -524,34 +545,43 @@ impl SynthesisSession {
                 for (src_ts, topic, obs_idx) in awaiting {
                     if let Some(states) = self.responses.get_mut(&src_ts) {
                         if let Some(rs) = states.iter_mut().find(|r| r.topic == topic) {
-                            rs.obs[obs_idx].dispatch = Some(*will_dispatch);
+                            rs.obs[obs_idx].dispatch = Some(will_dispatch);
                         }
                     }
                     self.try_commit_response(src_ts, &topic);
                 }
             }
-            RosPayload::SyncSubscribe => {
+            RosPayloadView::SyncSubscribe => {
                 if let Some(w) = self.nodes.entry(pid).wip.as_mut() {
                     w.sync = true;
                 }
             }
-            RosPayload::CallbackEnd { .. } => {
+            RosPayloadView::CallbackEnd { .. } => {
                 let st = self.nodes.entry(pid);
                 let Some(w) = st.wip.take() else { return };
-                let Some(id) = w.id else { return }; // unidentifiable instance
-                let exec = w.clock.finalize(e.time);
-                st.pending.push_back(PendingInstance {
-                    seq: w.seq,
-                    id,
-                    kind: w.kind,
-                    in_topic: w.in_topic,
-                    outs: w.outs,
-                    unresolved: w.unresolved,
-                    sync: w.sync,
-                    start: w.start,
-                    exec,
-                });
-                Self::fold_ready(pid, st);
+                let Some(id) = w.id else {
+                    self.dropped_unidentified += 1; // no identity event was traced
+                    return;
+                };
+                let exec = w.clock.finalize(time);
+                if st.pending.is_empty() && w.unresolved == 0 {
+                    // Nothing earlier waits and nothing is unknown: fold
+                    // straight into the list.
+                    let outs = w.outs.into_iter().map(OutSlot::into_ready);
+                    st.list.fold_instance(pid, id, w.kind, w.in_topic, outs, w.sync, exec, w.start);
+                } else {
+                    st.pending.push_back(PendingInstance {
+                        seq: w.seq,
+                        id,
+                        kind: w.kind,
+                        in_topic: w.in_topic,
+                        outs: w.outs,
+                        unresolved: w.unresolved,
+                        sync: w.sync,
+                        start: w.start,
+                        exec,
+                    });
+                }
             }
         }
     }
@@ -663,14 +693,7 @@ impl SynthesisSession {
     fn fold_ready(pid: Pid, st: &mut PidState) {
         while st.pending.front().is_some_and(|p| p.unresolved == 0) {
             let p = st.pending.pop_front().expect("checked front");
-            let outs: Vec<Arc<str>> = p
-                .outs
-                .into_iter()
-                .map(|slot| match slot {
-                    OutSlot::Ready(s) => s,
-                    OutSlot::AwaitClient { .. } => unreachable!("unresolved == 0"),
-                })
-                .collect();
+            let outs = p.outs.into_iter().map(OutSlot::into_ready);
             st.list.fold_instance(pid, p.id, p.kind, p.in_topic, outs, p.sync, p.exec, p.start);
         }
     }
@@ -689,7 +712,7 @@ impl SynthesisSession {
         }
     }
 
-    fn on_sched(&mut self, e: &SchedEvent) {
+    fn on_switch(&mut self, e: &SchedEvent) {
         let SchedEventKind::Switch { prev_pid, next_pid, .. } = &e.kind else {
             return; // wakeups do not put a thread on a CPU
         };
@@ -711,10 +734,23 @@ impl SynthesisSession {
     /// dispatch decorates as `unknown`, as batch extraction would on a
     /// trace cut at this point); feeding may continue afterwards.
     pub fn callback_lists(&self) -> Vec<(Pid, CbList)> {
+        self.node_lists().into_iter().map(|(pid, list)| (pid, list.into_owned())).collect()
+    }
+
+    /// The per-node lists of [`SynthesisSession::callback_lists`], each
+    /// borrowed from the walker unless the node has pending instances to
+    /// resolve into a copy.
+    fn node_lists(&self) -> Vec<(Pid, Cow<'_, CbList>)> {
         let mut lists = Vec::new();
         let mut entries: Vec<(Pid, &PidState)> = self.nodes.iter().collect();
         entries.sort_unstable_by_key(|&(pid, _)| pid);
         for (pid, st) in entries {
+            if st.pending.is_empty() {
+                if !st.list.is_empty() {
+                    lists.push((pid, Cow::Borrowed(&st.list)));
+                }
+                continue;
+            }
             let mut list = st.list.clone();
             for p in &st.pending {
                 let outs = p
@@ -729,9 +765,7 @@ impl SynthesisSession {
                     .collect();
                 list.add_instance(Self::finished_record(pid, p, outs));
             }
-            if !list.is_empty() {
-                lists.push((pid, list));
-            }
+            lists.push((pid, Cow::Owned(list)));
         }
         lists
     }
@@ -748,13 +782,13 @@ impl SynthesisSession {
     /// session's accumulated node-name map. Callable at any point; the
     /// session can keep consuming segments afterwards.
     pub fn model(&self) -> Dag {
-        Dag::from_cblists(&self.callback_lists(), &self.names)
+        self.model_with_names(&self.names)
     }
 
     /// Like [`SynthesisSession::model`], but with an explicitly supplied
     /// node-name map (for streams whose P1 events live elsewhere).
     pub fn model_with_names(&self, names: &HashMap<Pid, String>) -> Dag {
-        Dag::from_cblists(&self.callback_lists(), names)
+        Dag::from_cblists(&self.node_lists(), names)
     }
 
     /// Number of segments fed so far.
@@ -798,13 +832,27 @@ impl SynthesisSession {
     pub fn peak_watermark(&self) -> usize {
         self.peak_watermark
     }
+
+    /// Instances dropped at their `CallbackEnd` because no identity event
+    /// (`timer_call`/`take_*`) was seen for them — typically a lost
+    /// record. Batch extraction drops them the same way.
+    pub fn dropped_unidentified(&self) -> u64 {
+        self.dropped_unidentified
+    }
+
+    /// Open instances discarded because a new `CallbackStart` arrived on
+    /// their node before their `CallbackEnd` — a lost end record.
+    pub fn overwritten_instances(&self) -> u64 {
+        self.overwritten_instances
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::alg1::extract_callbacks;
     use crate::synthesis::synthesize;
-    use rtms_trace::{split_by_events, Cpu, Priority, ThreadState};
+    use rtms_trace::{split_by_events, Cpu, Priority, RosPayload, ThreadState};
 
     fn ros(ms: u64, pid: u32, payload: RosPayload) -> RosEvent {
         RosEvent::new(Nanos::from_millis(ms), Pid::new(pid), payload)
@@ -1010,5 +1058,145 @@ mod tests {
         assert_eq!(session.model(), synthesize(&trace));
         assert_eq!(session.events_fed(), trace.len() as u64);
         assert_eq!(session.segments_fed(), 1);
+    }
+
+    /// Server pid 3 answers a request, and the response decoration waits
+    /// for the client's dispatch decision on pid 1. Meanwhile pid 3
+    /// completes a timer instance, which must queue behind the pending
+    /// service instance; a second timer instance after the decision folds
+    /// in place.
+    fn pending_then_timer_trace() -> Trace {
+        let rq = || Topic::service_request("/sv");
+        let rs = || Topic::service_response("/sv");
+        let timer_call = |id| RosPayload::TimerCall { callback: CallbackId::new(id) };
+        let start = |kind| RosPayload::CallbackStart { kind };
+        let end = |kind| RosPayload::CallbackEnd { kind };
+        let ts = SourceTimestamp::new;
+        let mut t = Trace::new();
+        t.push_ros(ros(1, 1, start(CallbackKind::Timer)));
+        t.push_ros(ros(1, 1, timer_call(0x11)));
+        t.push_ros(ros(2, 1, RosPayload::DdsWrite { topic: rq(), src_ts: ts(100) }));
+        t.push_ros(ros(3, 1, end(CallbackKind::Timer)));
+        t.push_ros(ros(4, 3, start(CallbackKind::Service)));
+        t.push_ros(ros(4, 3, RosPayload::TakeRequest {
+            callback: CallbackId::new(0x33),
+            topic: rq(),
+            src_ts: ts(100),
+        }));
+        t.push_ros(ros(5, 3, RosPayload::DdsWrite { topic: rs(), src_ts: ts(200) }));
+        t.push_ros(ros(6, 3, end(CallbackKind::Service)));
+        t.push_ros(ros(7, 3, start(CallbackKind::Timer)));
+        t.push_ros(ros(7, 3, timer_call(0x34)));
+        t.push_sched(sw(8, 3, 9));
+        t.push_ros(ros(8, 3, RosPayload::DdsWrite {
+            topic: Topic::plain("/status"),
+            src_ts: ts(300),
+        }));
+        t.push_sched(sw(9, 9, 3));
+        t.push_ros(ros(10, 3, end(CallbackKind::Timer)));
+        t.push_ros(ros(11, 1, start(CallbackKind::Client)));
+        t.push_ros(ros(11, 1, RosPayload::TakeResponse {
+            callback: CallbackId::new(0x21),
+            topic: rs(),
+            src_ts: ts(200),
+        }));
+        t.push_ros(ros(11, 1, RosPayload::ClientDispatch { will_dispatch: true }));
+        t.push_ros(ros(12, 1, end(CallbackKind::Client)));
+        t.push_ros(ros(13, 3, start(CallbackKind::Timer)));
+        t.push_ros(ros(13, 3, timer_call(0x34)));
+        t.push_ros(ros(15, 3, end(CallbackKind::Timer)));
+        t.sort_by_time();
+        t
+    }
+
+    /// Algorithm 1 over `trace`, node by node: the paper-literal oracle.
+    fn oracle_lists(trace: &Trace) -> Vec<(Pid, CbList)> {
+        let mut pids: Vec<Pid> = trace.ros_events().iter().map(|e| e.pid).collect();
+        pids.sort_unstable();
+        pids.dedup();
+        pids.into_iter()
+            .map(|pid| (pid, extract_callbacks(pid, trace)))
+            .filter(|(_, list)| !list.is_empty())
+            .collect()
+    }
+
+    #[test]
+    fn later_instance_never_folds_ahead_of_a_pending_one() {
+        let trace = pending_then_timer_trace();
+        let mut session = SynthesisSession::new();
+        let mut prefix = Trace::new();
+        let mut saw_pending_behind = false;
+        for seg in split_by_events(&trace, 1) {
+            session.feed_segment(&seg);
+            for e in seg.ros_events() {
+                prefix.push_ros(e.clone());
+            }
+            for e in seg.sched_events() {
+                prefix.push_sched(e.clone());
+            }
+            let server = session.nodes.get(Pid::new(3));
+            saw_pending_behind |= server.is_some_and(|s| s.pending.len() == 2);
+            assert_eq!(session.callback_lists(), oracle_lists(&prefix), "cut after {prefix:?}");
+        }
+        assert!(saw_pending_behind, "the timer instance must have queued behind the service");
+        let lists = session.callback_lists();
+        let (_, server) = lists.iter().find(|(p, _)| *p == Pid::new(3)).expect("pid 3");
+        let kinds: Vec<CallbackKind> = server.entries().iter().map(|e| e.kind).collect();
+        assert_eq!(kinds, [CallbackKind::Service, CallbackKind::Timer]);
+        assert_eq!(server.entries()[1].stats.count(), 2);
+        assert_eq!(server.entries()[1].stats.mwcet(), Some(Nanos::from_millis(2)));
+    }
+
+    #[test]
+    fn model_with_pending_instances_equals_model_of_the_resolved_lists() {
+        let trace = pending_then_timer_trace();
+        // Cut just before the client's dispatch decision at 11 ms.
+        let cut = trace.cursor().take_while(|e| e.time() < Nanos::from_millis(11)).count();
+        let mut session = SynthesisSession::new();
+        for seg in split_by_events(&trace, 1).iter().take(cut) {
+            session.feed_segment(seg);
+        }
+        assert_eq!(session.nodes.get(Pid::new(3)).map(|s| s.pending.len()), Some(2));
+        let names: HashMap<Pid, String> = [(Pid::new(3), "server".to_string())].into();
+        assert_eq!(session.model(), Dag::from_cblists(&session.callback_lists(), session.names()));
+        assert_eq!(
+            session.model_with_names(&names),
+            Dag::from_cblists(&session.callback_lists(), &names)
+        );
+    }
+
+    #[test]
+    fn instance_without_identity_is_dropped_and_counted() {
+        let mut trace = Trace::new();
+        trace.push_ros(ros(0, 1, RosPayload::CallbackStart { kind: CallbackKind::Timer }));
+        trace.push_ros(ros(1, 1, RosPayload::CallbackEnd { kind: CallbackKind::Timer }));
+        trace.push_ros(ros(2, 1, RosPayload::CallbackStart { kind: CallbackKind::Timer }));
+        trace.push_ros(ros(2, 1, RosPayload::TimerCall { callback: CallbackId::new(7) }));
+        trace.push_ros(ros(3, 1, RosPayload::CallbackEnd { kind: CallbackKind::Timer }));
+        let mut session = SynthesisSession::new();
+        session.feed_segment(&trace.clone().into());
+        assert_eq!(session.dropped_unidentified(), 1);
+        assert_eq!(session.overwritten_instances(), 0);
+        assert_eq!(session.callback_lists()[0].1.entries()[0].stats.count(), 1);
+        assert_eq!(session.model(), synthesize(&trace));
+    }
+
+    #[test]
+    fn lost_end_overwrites_the_open_instance_and_is_counted() {
+        let mut trace = Trace::new();
+        trace.push_ros(ros(0, 1, RosPayload::CallbackStart { kind: CallbackKind::Timer }));
+        trace.push_ros(ros(0, 1, RosPayload::TimerCall { callback: CallbackId::new(7) }));
+        // The end record of the first instance was lost.
+        trace.push_ros(ros(5, 1, RosPayload::CallbackStart { kind: CallbackKind::Timer }));
+        trace.push_ros(ros(5, 1, RosPayload::TimerCall { callback: CallbackId::new(7) }));
+        trace.push_ros(ros(6, 1, RosPayload::CallbackEnd { kind: CallbackKind::Timer }));
+        let mut session = SynthesisSession::new();
+        session.feed_segment(&trace.clone().into());
+        assert_eq!(session.overwritten_instances(), 1);
+        assert_eq!(session.dropped_unidentified(), 0);
+        let lists = session.callback_lists();
+        assert_eq!(lists[0].1.entries()[0].stats.count(), 1);
+        assert_eq!(lists[0].1.entries()[0].start_times, [Nanos::from_millis(5)]);
+        assert_eq!(session.model(), synthesize(&trace));
     }
 }

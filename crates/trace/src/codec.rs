@@ -11,18 +11,22 @@
 //! `Arc<str>` topic plumbing (a pointer-identity hit is one hash of a
 //! `usize`), and events reference the dictionary entry. Each topic string
 //! is therefore written once per file, and — symmetrically — the decoder
-//! materializes one `Arc<str>` per dictionary entry and *shares* it across
-//! every decoded event, so a replayed stream enjoys the same
-//! allocation-free topic handling as a live one.
+//! materializes one `Arc<str>` per dictionary entry in a [`TopicTable`],
+//! prebuilt as the three [`Topic`]s a reference can select, and *lends*
+//! them to every decoded record: a replayed stream shares one allocation
+//! per name and pays no reference-count traffic per record.
 //!
 //! Segment frames store their records *interleaved* in the
 //! [`crate::SegmentCursor`] walk order — the one merge order of the
 //! workspace, chronological for sorted input — with per-record timestamps
 //! delta-encoded against the previous record. Replay therefore reads events in exactly the order
-//! synthesis consumes them — [`decode_segment_events`] streams records
-//! straight into a callback with no intermediate segment buffer, and the
-//! equal-timestamp tie contract (ROS2 before scheduler) is a structural
-//! property of the bytes rather than a re-sorting step.
+//! synthesis consumes them — [`walk_segment`] hands each record as a
+//! borrowed [`EventView`] straight to a callback with no intermediate
+//! segment buffer, and the equal-timestamp tie contract (ROS2 before
+//! scheduler) is a structural property of the bytes rather than a
+//! re-sorting step. The owned decoders ([`decode_segment`],
+//! [`decode_segment_into`]) are the same walk plus
+//! [`RosEventView::to_owned`].
 //!
 //! The functions here transform between events and byte buffers only;
 //! framing, checksums, and file I/O live in [`crate::store`]
@@ -35,10 +39,10 @@
 //! The exact wire layout (and its versioning rules) is documented in
 //! `docs/TRACE_FORMAT.md`.
 
-use crate::event::{CallbackKind, RosEvent, RosPayload};
+use crate::event::{CallbackKind, RosEvent, RosEventView, RosPayload, RosPayloadView};
 use crate::ids::{CallbackId, Cpu, Pid, Priority};
 use crate::sched_event::{SchedEvent, SchedEventKind, ThreadState};
-use crate::sink::{EventSink, OwnedSegmentEvent, SegmentEvent, TraceSegment};
+use crate::sink::{EventSink, EventView, SegmentEvent, TraceSegment};
 use crate::time::Nanos;
 use crate::topic::{SourceTimestamp, Topic, TopicKind};
 use rtms_util::{varint, FxHashMap};
@@ -350,15 +354,76 @@ pub fn encode_dict_entries(entries: &[Arc<str>], out: &mut Vec<u8>) {
     }
 }
 
-/// Decodes a dictionary frame payload, appending the new names to `dict`.
-pub fn decode_dict_entries(payload: &[u8], dict: &mut Vec<Arc<str>>) -> Result<(), CodecError> {
+/// The decoder's topic dictionary: every name the file's dictionary
+/// frames declared, each prebuilt as the three [`Topic`]s a topic
+/// reference can select (plain, service request, service response).
+///
+/// Readers extend it once per dictionary frame; resolving a record's
+/// topic reference is then an index, and the decoder lends the prebuilt
+/// `&Topic` — no reference-count change per record. All three topics of
+/// an entry share the entry's name allocation ([`TopicTable::names`]), so
+/// whatever a consumer keeps of a decoded topic aliases the dictionary.
+#[derive(Debug, Clone, Default)]
+pub struct TopicTable {
+    names: Vec<Arc<str>>,
+    /// Indexed by dictionary id, then by the reference's kind bits
+    /// (`KIND_PLAIN`, `KIND_REQUEST`, `KIND_RESPONSE`).
+    topics: Vec<[Topic; 3]>,
+}
+
+impl TopicTable {
+    /// Creates an empty table.
+    pub fn new() -> TopicTable {
+        TopicTable::default()
+    }
+
+    /// Appends the next dictionary entry.
+    fn push(&mut self, name: Arc<str>) {
+        let topic = |kind| Topic::from_raw_parts(Arc::clone(&name), kind);
+        self.topics.push([
+            topic(TopicKind::Plain),
+            topic(TopicKind::ServiceRequest),
+            topic(TopicKind::ServiceResponse),
+        ]);
+        self.names.push(name);
+    }
+
+    /// The dictionary entries, in id order.
+    pub fn names(&self) -> &[Arc<str>] {
+        &self.names
+    }
+
+    /// The topic a record's raw topic reference selects.
+    #[inline]
+    fn resolve(&self, raw: u64) -> Result<&Topic, CodecError> {
+        self.topics
+            .get((raw >> 2) as usize)
+            .and_then(|kinds| kinds.get((raw & 0b11) as usize))
+            .ok_or(CodecError::BadTopicRef(raw))
+    }
+}
+
+impl FromIterator<Arc<str>> for TopicTable {
+    fn from_iter<I: IntoIterator<Item = Arc<str>>>(names: I) -> TopicTable {
+        let mut table = TopicTable::new();
+        for name in names {
+            table.push(name);
+        }
+        table
+    }
+}
+
+/// Decodes a dictionary frame payload, appending the new names to
+/// `topics`.
+pub fn decode_dict_entries(payload: &[u8], topics: &mut TopicTable) -> Result<(), CodecError> {
     let mut r = ByteReader::new(payload);
     let count = r.varint()?;
     // Every entry costs at least one length byte.
     if count > r.remaining() as u64 {
         return Err(CodecError::BadCount { count, budget: r.remaining() as u64 });
     }
-    dict.reserve(count as usize);
+    topics.names.reserve(count as usize);
+    topics.topics.reserve(count as usize);
     for _ in 0..count {
         let len = r.varint()?;
         if len > MAX_STRING_LEN {
@@ -366,7 +431,7 @@ pub fn decode_dict_entries(payload: &[u8], dict: &mut Vec<Arc<str>>) -> Result<(
         }
         let bytes = r.bytes(len as usize)?;
         let name = std::str::from_utf8(bytes).map_err(|_| CodecError::BadUtf8)?;
-        dict.push(Arc::from(name));
+        topics.push(Arc::from(name));
     }
     if !r.is_empty() {
         return Err(CodecError::Truncated);
@@ -436,20 +501,21 @@ impl SegmentHeader {
 }
 
 /// Decodes a segment frame payload produced by [`encode_segment`].
-pub fn decode_segment(payload: &[u8], dict: &[Arc<str>]) -> Result<TraceSegment, CodecError> {
+pub fn decode_segment(payload: &[u8], topics: &TopicTable) -> Result<TraceSegment, CodecError> {
     let mut segment = TraceSegment::new();
-    decode_segment_into(payload, dict, &mut segment)?;
+    decode_segment_into(payload, topics, &mut segment)?;
     Ok(segment)
 }
 
 /// Decodes a segment frame payload into an existing segment, reusing its
 /// event buffers — the allocation-lean form batch replay uses (one
-/// segment allocation per *replay*, not per frame). Records are routed
-/// back to their stream by tag family, so each stream comes back exactly
-/// as it went in.
+/// segment allocation per *replay*, not per frame). This is the
+/// [`walk_segment`] record walk with each view made owned; records are
+/// routed back to their stream by kind, so each stream comes back
+/// exactly as it went in.
 pub fn decode_segment_into(
     payload: &[u8],
-    dict: &[Arc<str>],
+    topics: &TopicTable,
     segment: &mut TraceSegment,
 ) -> Result<(), CodecError> {
     segment.clear();
@@ -457,63 +523,58 @@ pub fn decode_segment_into(
     let header = SegmentHeader::decode(&mut r)?;
     segment.set_index(header.index as usize);
     segment.reserve(header.ros_count as usize, header.sched_count as usize);
-    let mut prev = Nanos::from_nanos(0);
-    for _ in 0..header.total() {
-        match decode_event(&mut r, &mut prev, dict)? {
-            OwnedSegmentEvent::Ros(e) => segment.push_ros(e),
-            OwnedSegmentEvent::Sched(e) => segment.push_sched(e),
-        }
-    }
-    if segment.ros_events().len() as u64 != header.ros_count || !r.is_empty() {
-        return Err(CodecError::Truncated);
-    }
-    Ok(())
+    walk_records(&mut r, &header, topics, |event| match event {
+        EventView::Ros(e) => segment.push_ros(e.to_owned()),
+        EventView::Sched(e) => segment.push_sched(e),
+    })
 }
 
-/// Streaming decode of a segment frame payload: invokes `f` with each
-/// record, in on-disk (merged chronological) order, without materializing
-/// a [`TraceSegment`]. Returns the segment's run index and event count.
+/// Walks a segment frame payload: invokes `f` with a borrowed view of
+/// each record, in on-disk (merged chronological) order, without
+/// materializing any event. Topics are lent from `topics` and node names
+/// from `payload`. Returns the segment's run index and event count.
 ///
-/// This is the replay hot path: `SynthesisSession::feed_reader` fuses
-/// this walk directly into the synthesis state machine, so a replayed
-/// file costs one decode pass and zero intermediate event buffers.
-pub fn decode_segment_events<F: FnMut(OwnedSegmentEvent)>(
-    payload: &[u8],
-    dict: &[Arc<str>],
-    mut f: F,
+/// This is the replay hot path: `SynthesisSession::feed_reader` passes
+/// these views straight into the synthesis walker, so a replayed file
+/// costs one decode pass, zero intermediate event buffers, and no
+/// per-record topic reference counting.
+///
+/// # Errors
+///
+/// The same typed errors as [`decode_segment`]; views already handed to
+/// `f` before a mid-frame error stay delivered.
+pub fn walk_segment<'a, F: FnMut(EventView<'a>)>(
+    payload: &'a [u8],
+    topics: &'a TopicTable,
+    f: F,
 ) -> Result<(usize, usize), CodecError> {
     let mut r = ByteReader::new(payload);
     let header = SegmentHeader::decode(&mut r)?;
+    walk_records(&mut r, &header, topics, f)?;
+    Ok((header.index as usize, header.total() as usize))
+}
+
+/// The record loop behind every segment decoder: parses the declared
+/// number of records, then checks the declared ROS2 count and that no
+/// bytes trail the last record.
+#[inline]
+fn walk_records<'a, F: FnMut(EventView<'a>)>(
+    r: &mut ByteReader<'a>,
+    header: &SegmentHeader,
+    topics: &'a TopicTable,
+    mut f: F,
+) -> Result<(), CodecError> {
     let mut prev = Nanos::from_nanos(0);
     let mut ros_seen = 0u64;
     for _ in 0..header.total() {
-        let event = decode_event(&mut r, &mut prev, dict)?;
-        if matches!(event, OwnedSegmentEvent::Ros(_)) {
-            ros_seen += 1;
-        }
+        let event = decode_record(r, &mut prev, topics)?;
+        ros_seen += u64::from(matches!(event, EventView::Ros(_)));
         f(event);
     }
     if ros_seen != header.ros_count || !r.is_empty() {
         return Err(CodecError::Truncated);
     }
-    Ok((header.index as usize, header.total() as usize))
-}
-
-/// Decodes one interleaved record, routing on the tag byte's family
-/// range.
-#[inline]
-fn decode_event(
-    r: &mut ByteReader<'_>,
-    prev: &mut Nanos,
-    dict: &[Arc<str>],
-) -> Result<OwnedSegmentEvent, CodecError> {
-    match r.peek() {
-        Some(t) if t < TAG_SCHED_SWITCH => {
-            decode_ros_event(r, prev, dict).map(OwnedSegmentEvent::Ros)
-        }
-        Some(_) => decode_sched_event(r, prev).map(OwnedSegmentEvent::Sched),
-        None => Err(CodecError::Truncated),
-    }
+    Ok(())
 }
 
 #[inline]
@@ -525,21 +586,6 @@ fn encode_topic(topic: &Topic, dict: &mut TopicInterner, out: &mut Vec<u8>) {
         TopicKind::ServiceResponse => KIND_RESPONSE,
     };
     varint::write_u64(out, (id << 2) | kind);
-}
-
-#[inline]
-fn decode_topic(r: &mut ByteReader<'_>, dict: &[Arc<str>]) -> Result<Topic, CodecError> {
-    let raw = r.varint()?;
-    let kind = match raw & 0b11 {
-        KIND_PLAIN => TopicKind::Plain,
-        KIND_REQUEST => TopicKind::ServiceRequest,
-        KIND_RESPONSE => TopicKind::ServiceResponse,
-        _ => return Err(CodecError::BadTopicRef(raw)),
-    };
-    let name = dict
-        .get((raw >> 2) as usize)
-        .ok_or(CodecError::BadTopicRef(raw))?;
-    Ok(Topic::from_raw_parts(Arc::clone(name), kind))
 }
 
 /// Writes `time` as a ZigZag delta from `*prev`, then advances `*prev`.
@@ -605,56 +651,6 @@ pub fn encode_ros_event(e: &RosEvent, prev: &mut Nanos, dict: &mut TopicInterner
     }
 }
 
-/// Decodes one ROS2 event record.
-fn decode_ros_event(
-    r: &mut ByteReader<'_>,
-    prev: &mut Nanos,
-    dict: &[Arc<str>],
-) -> Result<RosEvent, CodecError> {
-    let tag = r.u8()?;
-    let time = decode_time_delta(r, prev)?;
-    let pid = Pid::new(r.varint_u32()?);
-    let payload = match tag {
-        TAG_NODE_INIT => {
-            let len = r.varint()?;
-            if len > MAX_STRING_LEN {
-                return Err(CodecError::BadLength { len, max: MAX_STRING_LEN });
-            }
-            let bytes = r.bytes(len as usize)?;
-            let node_name =
-                std::str::from_utf8(bytes).map_err(|_| CodecError::BadUtf8)?.to_string();
-            RosPayload::NodeInit { node_name }
-        }
-        t if (TAG_CB_START..TAG_CB_START + 4).contains(&t) => {
-            RosPayload::CallbackStart { kind: kind_from_code(t - TAG_CB_START) }
-        }
-        TAG_TIMER_CALL => RosPayload::TimerCall { callback: CallbackId::new(r.varint()?) },
-        t if (TAG_CB_END..TAG_CB_END + 4).contains(&t) => {
-            RosPayload::CallbackEnd { kind: kind_from_code(t - TAG_CB_END) }
-        }
-        TAG_TAKE_DATA | TAG_TAKE_REQUEST | TAG_TAKE_RESPONSE => {
-            let callback = CallbackId::new(r.varint()?);
-            let topic = decode_topic(r, dict)?;
-            let src_ts = SourceTimestamp::new(r.varint()?);
-            match tag {
-                TAG_TAKE_DATA => RosPayload::TakeData { callback, topic, src_ts },
-                TAG_TAKE_REQUEST => RosPayload::TakeRequest { callback, topic, src_ts },
-                _ => RosPayload::TakeResponse { callback, topic, src_ts },
-            }
-        }
-        TAG_SYNC_SUBSCRIBE => RosPayload::SyncSubscribe,
-        TAG_CLIENT_DISPATCH => RosPayload::ClientDispatch { will_dispatch: false },
-        t if t == TAG_CLIENT_DISPATCH + 1 => RosPayload::ClientDispatch { will_dispatch: true },
-        TAG_DDS_WRITE => {
-            let topic = decode_topic(r, dict)?;
-            let src_ts = SourceTimestamp::new(r.varint()?);
-            RosPayload::DdsWrite { topic, src_ts }
-        }
-        t => return Err(CodecError::BadTag(t)),
-    };
-    Ok(RosEvent { time, pid, payload })
-}
-
 /// Encodes one scheduler event record.
 pub fn encode_sched_event(e: &SchedEvent, prev: &mut Nanos, out: &mut Vec<u8>) {
     match &e.kind {
@@ -677,33 +673,82 @@ pub fn encode_sched_event(e: &SchedEvent, prev: &mut Nanos, out: &mut Vec<u8>) {
     }
 }
 
-/// Decodes one scheduler event record.
-fn decode_sched_event(r: &mut ByteReader<'_>, prev: &mut Nanos) -> Result<SchedEvent, CodecError> {
+/// Parses one interleaved record — the crate's one record parser. The
+/// tag byte's family range routes it: below `TAG_SCHED_SWITCH` a ROS2
+/// record (borrowing its topic from `topics` and its node name from the
+/// frame), at or above it a scheduler record.
+#[inline]
+fn decode_record<'a>(
+    r: &mut ByteReader<'a>,
+    prev: &mut Nanos,
+    topics: &'a TopicTable,
+) -> Result<EventView<'a>, CodecError> {
     let tag = r.u8()?;
     let time = decode_time_delta(r, prev)?;
-    let cpu = Cpu::new(u16::try_from(r.varint()?).map_err(|_| CodecError::BadVarint)?);
-    let kind = match tag {
-        t if (TAG_SCHED_SWITCH..TAG_SCHED_SWITCH + 3).contains(&t) => {
-            let prev_pid = Pid::new(r.varint_u32()?);
-            let prev_prio = Priority::new(r.varint_i32()?);
-            let next_pid = Pid::new(r.varint_u32()?);
-            let next_prio = Priority::new(r.varint_i32()?);
-            SchedEventKind::Switch {
-                prev_pid,
-                prev_prio,
-                prev_state: state_from_code(t - TAG_SCHED_SWITCH),
-                next_pid,
-                next_prio,
+    if tag >= TAG_SCHED_SWITCH {
+        let cpu = Cpu::new(u16::try_from(r.varint()?).map_err(|_| CodecError::BadVarint)?);
+        let kind = match tag {
+            t if (TAG_SCHED_SWITCH..TAG_SCHED_SWITCH + 3).contains(&t) => {
+                let prev_pid = Pid::new(r.varint_u32()?);
+                let prev_prio = Priority::new(r.varint_i32()?);
+                let next_pid = Pid::new(r.varint_u32()?);
+                let next_prio = Priority::new(r.varint_i32()?);
+                SchedEventKind::Switch {
+                    prev_pid,
+                    prev_prio,
+                    prev_state: state_from_code(t - TAG_SCHED_SWITCH),
+                    next_pid,
+                    next_prio,
+                }
+            }
+            TAG_SCHED_WAKEUP => {
+                let pid = Pid::new(r.varint_u32()?);
+                let prio = Priority::new(r.varint_i32()?);
+                SchedEventKind::Wakeup { pid, prio }
+            }
+            t => return Err(CodecError::BadTag(t)),
+        };
+        return Ok(EventView::Sched(SchedEvent { time, cpu, kind }));
+    }
+    let pid = Pid::new(r.varint_u32()?);
+    let payload = match tag {
+        TAG_NODE_INIT => {
+            let len = r.varint()?;
+            if len > MAX_STRING_LEN {
+                return Err(CodecError::BadLength { len, max: MAX_STRING_LEN });
+            }
+            let bytes = r.bytes(len as usize)?;
+            let node_name = std::str::from_utf8(bytes).map_err(|_| CodecError::BadUtf8)?;
+            RosPayloadView::NodeInit { node_name }
+        }
+        t if (TAG_CB_START..TAG_CB_START + 4).contains(&t) => {
+            RosPayloadView::CallbackStart { kind: kind_from_code(t - TAG_CB_START) }
+        }
+        TAG_TIMER_CALL => RosPayloadView::TimerCall { callback: CallbackId::new(r.varint()?) },
+        t if (TAG_CB_END..TAG_CB_END + 4).contains(&t) => {
+            RosPayloadView::CallbackEnd { kind: kind_from_code(t - TAG_CB_END) }
+        }
+        TAG_TAKE_DATA | TAG_TAKE_REQUEST | TAG_TAKE_RESPONSE => {
+            let callback = CallbackId::new(r.varint()?);
+            let topic = topics.resolve(r.varint()?)?;
+            let src_ts = SourceTimestamp::new(r.varint()?);
+            match tag {
+                TAG_TAKE_DATA => RosPayloadView::TakeData { callback, topic, src_ts },
+                TAG_TAKE_REQUEST => RosPayloadView::TakeRequest { callback, topic, src_ts },
+                _ => RosPayloadView::TakeResponse { callback, topic, src_ts },
             }
         }
-        TAG_SCHED_WAKEUP => {
-            let pid = Pid::new(r.varint_u32()?);
-            let prio = Priority::new(r.varint_i32()?);
-            SchedEventKind::Wakeup { pid, prio }
+        TAG_SYNC_SUBSCRIBE => RosPayloadView::SyncSubscribe,
+        TAG_CLIENT_DISPATCH => RosPayloadView::ClientDispatch { will_dispatch: false },
+        t if t == TAG_CLIENT_DISPATCH + 1 => RosPayloadView::ClientDispatch { will_dispatch: true },
+        TAG_DDS_WRITE => {
+            let topic = topics.resolve(r.varint()?)?;
+            let src_ts = SourceTimestamp::new(r.varint()?);
+            RosPayloadView::DdsWrite { topic, src_ts }
         }
         t => return Err(CodecError::BadTag(t)),
     };
-    Ok(SchedEvent { time, cpu, kind })
+    Ok(EventView::Ros(RosEventView { time, pid, payload }))
 }
 
 /// A bounds-checked cursor over a byte slice: every read is validated,
@@ -730,10 +775,6 @@ impl<'a> ByteReader<'a> {
         let b = *self.buf.get(self.pos).ok_or(CodecError::Truncated)?;
         self.pos += 1;
         Ok(b)
-    }
-
-    fn peek(&self) -> Option<u8> {
-        self.buf.get(self.pos).copied()
     }
 
     fn varint(&mut self) -> Result<u64, CodecError> {
@@ -826,13 +867,19 @@ mod tests {
         seg
     }
 
-    fn round_trip(seg: &TraceSegment) -> (Vec<u8>, TraceSegment, Vec<Arc<str>>) {
+    /// Encodes `seg` with a fresh interner; returns the payload and the
+    /// decoder's table over the interned names.
+    fn encode_fresh(seg: &TraceSegment) -> (Vec<u8>, TopicTable) {
         let mut dict = TopicInterner::new();
         let mut payload = Vec::new();
         encode_segment(seg, &mut dict, &mut payload);
-        let decoded_dict: Vec<Arc<str>> = dict.entries().to_vec();
-        let back = decode_segment(&payload, &decoded_dict).expect("decodes");
-        (payload, back, decoded_dict)
+        (payload, dict.entries().iter().cloned().collect())
+    }
+
+    fn round_trip(seg: &TraceSegment) -> (Vec<u8>, TraceSegment, TopicTable) {
+        let (payload, topics) = encode_fresh(seg);
+        let back = decode_segment(&payload, &topics).expect("decodes");
+        (payload, back, topics)
     }
 
     #[test]
@@ -845,7 +892,8 @@ mod tests {
     #[test]
     fn decoded_topics_share_one_arc_per_name() {
         let seg = sample_segment();
-        let (_, back, dict) = round_trip(&seg);
+        let (_, back, topics) = round_trip(&seg);
+        let dict = topics.names();
         assert_eq!(dict.len(), 1, "one distinct topic name, one dictionary entry");
         let mut arcs = Vec::new();
         for e in back.ros_events() {
@@ -882,15 +930,43 @@ mod tests {
         let entries: Vec<Arc<str>> = vec![Arc::from("/a"), Arc::from("/b/c")];
         let mut payload = Vec::new();
         encode_dict_entries(&entries, &mut payload);
-        let mut dict = Vec::new();
-        decode_dict_entries(&payload, &mut dict).expect("decodes");
-        assert_eq!(dict, entries);
+        let mut topics = TopicTable::new();
+        decode_dict_entries(&payload, &mut topics).expect("decodes");
+        assert_eq!(topics.names(), entries.as_slice());
+    }
+
+    #[test]
+    fn topic_table_lends_one_allocation_per_name() {
+        let topics: TopicTable = [Arc::from("/sv")].into_iter().collect();
+        for (kind_bits, kind) in [
+            (KIND_PLAIN, TopicKind::Plain),
+            (KIND_REQUEST, TopicKind::ServiceRequest),
+            (KIND_RESPONSE, TopicKind::ServiceResponse),
+        ] {
+            let topic = topics.resolve(kind_bits).expect("id 0 resolves");
+            assert_eq!(topic.kind(), kind);
+            assert!(Arc::ptr_eq(topic.name_arc(), &topics.names()[0]));
+        }
+        assert!(matches!(topics.resolve(3), Err(CodecError::BadTopicRef(3))));
+        assert!(matches!(topics.resolve(1 << 2), Err(CodecError::BadTopicRef(4))));
+    }
+
+    #[test]
+    fn walk_yields_views_in_merged_order_and_owned_decode_agrees() {
+        let seg = sample_segment();
+        let (payload, topics) = encode_fresh(&seg);
+        let mut walked = Vec::new();
+        let (index, total) = walk_segment(&payload, &topics, |e| walked.push(e)).expect("walks");
+        assert_eq!((index, total), (seg.index(), seg.len()));
+        let expected: Vec<EventView<'_>> = seg.cursor().map(SegmentEvent::view).collect();
+        assert_eq!(walked, expected);
+        assert_eq!(decode_segment(&payload, &topics).expect("decodes"), seg);
     }
 
     #[test]
     fn unknown_tag_is_typed() {
         let payload = [0u8 /* index */, 1 /* ros */, 0 /* sched */, 0x7f, 0, 0];
-        match decode_segment(&payload, &[]) {
+        match decode_segment(&payload, &TopicTable::new()) {
             Err(CodecError::BadTag(0x7f)) => {}
             other => panic!("expected BadTag, got {other:?}"),
         }
@@ -899,10 +975,8 @@ mod tests {
     #[test]
     fn dangling_topic_ref_is_typed() {
         let seg = sample_segment();
-        let mut dict = TopicInterner::new();
-        let mut payload = Vec::new();
-        encode_segment(&seg, &mut dict, &mut payload);
-        match decode_segment(&payload, &[]) {
+        let (payload, _) = encode_fresh(&seg);
+        match decode_segment(&payload, &TopicTable::new()) {
             Err(CodecError::BadTopicRef(_)) => {}
             other => panic!("expected BadTopicRef, got {other:?}"),
         }
@@ -911,10 +985,7 @@ mod tests {
     #[test]
     fn truncated_payload_is_typed() {
         let seg = sample_segment();
-        let mut dict = TopicInterner::new();
-        let mut payload = Vec::new();
-        encode_segment(&seg, &mut dict, &mut payload);
-        let dict: Vec<Arc<str>> = dict.entries().to_vec();
+        let (payload, dict) = encode_fresh(&seg);
         for cut in 1..payload.len() {
             let err = decode_segment(&payload[..cut], &dict)
                 .expect_err("every proper prefix must fail");
@@ -934,7 +1005,7 @@ mod tests {
         let mut payload = vec![0u8];
         rtms_util::varint::write_u64(&mut payload, 1 << 40);
         rtms_util::varint::write_u64(&mut payload, 0);
-        match decode_segment(&payload, &[]) {
+        match decode_segment(&payload, &TopicTable::new()) {
             Err(CodecError::BadCount { count, .. }) => assert_eq!(count, 1 << 40),
             other => panic!("expected BadCount, got {other:?}"),
         }
@@ -943,11 +1014,8 @@ mod tests {
     #[test]
     fn trailing_garbage_is_rejected() {
         let seg = sample_segment();
-        let mut dict = TopicInterner::new();
-        let mut payload = Vec::new();
-        encode_segment(&seg, &mut dict, &mut payload);
+        let (mut payload, dict) = encode_fresh(&seg);
         payload.push(0x00);
-        let dict: Vec<Arc<str>> = dict.entries().to_vec();
         assert!(matches!(decode_segment(&payload, &dict), Err(CodecError::Truncated)));
     }
 
@@ -962,10 +1030,7 @@ mod tests {
     #[test]
     fn reused_segment_buffer_is_fully_overwritten() {
         let seg = sample_segment();
-        let mut dict = TopicInterner::new();
-        let mut payload = Vec::new();
-        encode_segment(&seg, &mut dict, &mut payload);
-        let dict: Vec<Arc<str>> = dict.entries().to_vec();
+        let (payload, dict) = encode_fresh(&seg);
         let mut reused = TraceSegment::with_index(99);
         reused.push_ros(RosEvent::new(
             Nanos::from_nanos(1),

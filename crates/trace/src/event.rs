@@ -209,6 +209,102 @@ impl RosEvent {
     }
 }
 
+/// A borrowed view of a [`RosPayload`]: topics are `&Topic` and the node
+/// name is `&str`, so reading a record costs no reference-count change
+/// and no string copy.
+///
+/// This is the one shape the synthesis walker consumes. A live event
+/// lends its fields through [`RosEvent::view`]; the segment decoder
+/// (`rtms_trace::codec::walk_segment`) lends topics straight from its
+/// [`crate::codec::TopicTable`] and node names from the frame buffer.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[allow(missing_docs)] // fields mirror the documented `RosPayload` ones
+pub enum RosPayloadView<'a> {
+    NodeInit { node_name: &'a str },
+    CallbackStart { kind: CallbackKind },
+    TimerCall { callback: CallbackId },
+    CallbackEnd { kind: CallbackKind },
+    TakeData { callback: CallbackId, topic: &'a Topic, src_ts: SourceTimestamp },
+    SyncSubscribe,
+    TakeRequest { callback: CallbackId, topic: &'a Topic, src_ts: SourceTimestamp },
+    TakeResponse { callback: CallbackId, topic: &'a Topic, src_ts: SourceTimestamp },
+    ClientDispatch { will_dispatch: bool },
+    DdsWrite { topic: &'a Topic, src_ts: SourceTimestamp },
+}
+
+/// A borrowed view of a [`RosEvent`] (see [`RosPayloadView`]).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct RosEventView<'a> {
+    /// Timestamp for chronological ordering.
+    pub time: Nanos,
+    /// PID of the thread the probed function ran on.
+    pub pid: Pid,
+    /// Probe-specific data, borrowed.
+    pub payload: RosPayloadView<'a>,
+}
+
+impl RosEventView<'_> {
+    /// Materializes the owned event: topic names become reference-count
+    /// bumps of the viewed topics, the node name a fresh `String`.
+    pub fn to_owned(self) -> RosEvent {
+        let payload = match self.payload {
+            RosPayloadView::NodeInit { node_name } => {
+                RosPayload::NodeInit { node_name: node_name.to_string() }
+            }
+            RosPayloadView::CallbackStart { kind } => RosPayload::CallbackStart { kind },
+            RosPayloadView::TimerCall { callback } => RosPayload::TimerCall { callback },
+            RosPayloadView::CallbackEnd { kind } => RosPayload::CallbackEnd { kind },
+            RosPayloadView::TakeData { callback, topic, src_ts } => {
+                RosPayload::TakeData { callback, topic: topic.clone(), src_ts }
+            }
+            RosPayloadView::SyncSubscribe => RosPayload::SyncSubscribe,
+            RosPayloadView::TakeRequest { callback, topic, src_ts } => {
+                RosPayload::TakeRequest { callback, topic: topic.clone(), src_ts }
+            }
+            RosPayloadView::TakeResponse { callback, topic, src_ts } => {
+                RosPayload::TakeResponse { callback, topic: topic.clone(), src_ts }
+            }
+            RosPayloadView::ClientDispatch { will_dispatch } => {
+                RosPayload::ClientDispatch { will_dispatch }
+            }
+            RosPayloadView::DdsWrite { topic, src_ts } => {
+                RosPayload::DdsWrite { topic: topic.clone(), src_ts }
+            }
+        };
+        RosEvent { time: self.time, pid: self.pid, payload }
+    }
+}
+
+impl RosEvent {
+    /// Borrows this event as a [`RosEventView`].
+    #[inline]
+    pub fn view(&self) -> RosEventView<'_> {
+        let payload = match &self.payload {
+            RosPayload::NodeInit { node_name } => RosPayloadView::NodeInit { node_name },
+            RosPayload::CallbackStart { kind } => RosPayloadView::CallbackStart { kind: *kind },
+            RosPayload::TimerCall { callback } => RosPayloadView::TimerCall { callback: *callback },
+            RosPayload::CallbackEnd { kind } => RosPayloadView::CallbackEnd { kind: *kind },
+            RosPayload::TakeData { callback, topic, src_ts } => {
+                RosPayloadView::TakeData { callback: *callback, topic, src_ts: *src_ts }
+            }
+            RosPayload::SyncSubscribe => RosPayloadView::SyncSubscribe,
+            RosPayload::TakeRequest { callback, topic, src_ts } => {
+                RosPayloadView::TakeRequest { callback: *callback, topic, src_ts: *src_ts }
+            }
+            RosPayload::TakeResponse { callback, topic, src_ts } => {
+                RosPayloadView::TakeResponse { callback: *callback, topic, src_ts: *src_ts }
+            }
+            RosPayload::ClientDispatch { will_dispatch } => {
+                RosPayloadView::ClientDispatch { will_dispatch: *will_dispatch }
+            }
+            RosPayload::DdsWrite { topic, src_ts } => {
+                RosPayloadView::DdsWrite { topic, src_ts: *src_ts }
+            }
+        };
+        RosEventView { time: self.time, pid: self.pid, payload }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -297,6 +393,32 @@ mod tests {
         assert!(big > small);
         assert_eq!(small, 16, "SyncSubscribe is header-only");
         assert_eq!(big, 16 + 8 + 64, "DdsWrite carries srcTS + fixed topic buffer");
+    }
+
+    #[test]
+    fn view_round_trips_and_shares_topic_names() {
+        let topic = Topic::service_request("/s");
+        let ts = SourceTimestamp::new(4);
+        let callback = CallbackId::new(2);
+        for payload in [
+            RosPayload::NodeInit { node_name: "n".into() },
+            RosPayload::CallbackStart { kind: CallbackKind::Service },
+            RosPayload::TimerCall { callback },
+            RosPayload::CallbackEnd { kind: CallbackKind::Client },
+            RosPayload::TakeData { callback, topic: topic.clone(), src_ts: ts },
+            RosPayload::SyncSubscribe,
+            RosPayload::TakeRequest { callback, topic: topic.clone(), src_ts: ts },
+            RosPayload::TakeResponse { callback, topic: topic.clone(), src_ts: ts },
+            RosPayload::ClientDispatch { will_dispatch: true },
+            RosPayload::DdsWrite { topic: topic.clone(), src_ts: ts },
+        ] {
+            let e = ev(payload);
+            let back = e.view().to_owned();
+            assert_eq!(back, e);
+            if let RosPayload::DdsWrite { topic: t, .. } = &back.payload {
+                assert!(std::sync::Arc::ptr_eq(t.name_arc(), topic.name_arc()));
+            }
+        }
     }
 
     #[test]

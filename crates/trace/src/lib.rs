@@ -39,13 +39,13 @@ pub mod time;
 pub mod topic;
 pub mod trace;
 
-pub use codec::{crc32, crc32_update, CodecError, TopicInterner};
-pub use event::{CallbackKind, RosEvent, RosPayload};
+pub use codec::{crc32, crc32_update, CodecError, TopicInterner, TopicTable};
+pub use event::{CallbackKind, RosEvent, RosEventView, RosPayload, RosPayloadView};
 pub use ids::{CallbackId, Cpu, Pid, Priority};
 pub use probe::{Probe, ProbeAttachment, ProbeSpec, PROBE_CATALOG};
 pub use sched_event::{SchedEvent, SchedEventKind, ThreadState};
 pub use sink::{
-    split_by_events, EventSink, OwnedSegmentEvent, SegmentCursor, SegmentEvent, TraceSegment,
+    split_by_events, EventSink, EventView, SegmentCursor, SegmentEvent, TraceSegment,
 };
 pub use store::{
     IndexedSegmentFile, SegmentFileStats, SegmentIndexEntry, SegmentReader, SegmentWriter,

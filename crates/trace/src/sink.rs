@@ -13,10 +13,13 @@
 //!   ROS2 and scheduler streams *merged by timestamp*, which is the order
 //!   an online consumer must observe events in. Synthesis and the segment
 //!   codec both walk it.
+//! - [`EventView`] — one record of either stream, borrowed: the shape the
+//!   synthesis walker consumes from the cursor and the segment decoder
+//!   alike.
 //! - [`split_by_events`] — re-segments an existing trace, the tool the
 //!   streaming/batch equivalence suites are built on.
 
-use crate::event::RosEvent;
+use crate::event::{RosEvent, RosEventView};
 use crate::sched_event::SchedEvent;
 use crate::time::Nanos;
 use crate::trace::Trace;
@@ -223,7 +226,16 @@ pub enum SegmentEvent<'a> {
     Sched(&'a SchedEvent),
 }
 
-impl SegmentEvent<'_> {
+impl<'a> SegmentEvent<'a> {
+    /// Borrows the event as an [`EventView`], the walker's input shape.
+    #[inline]
+    pub fn view(self) -> EventView<'a> {
+        match self {
+            SegmentEvent::Ros(e) => EventView::Ros(e.view()),
+            SegmentEvent::Sched(e) => EventView::Sched(e.clone()),
+        }
+    }
+
     /// The event's timestamp.
     pub fn time(&self) -> Nanos {
         match self {
@@ -298,24 +310,17 @@ impl<'a> Iterator for SegmentCursor<'a> {
 
 impl ExactSizeIterator for SegmentCursor<'_> {}
 
-/// One decoded event, by value: what the segment decoder
-/// ([`crate::codec::decode_segment_events`]) yields.
+/// One record of either stream, borrowed: what the synthesis walker
+/// consumes. The live walk lends events through [`SegmentEvent::view`];
+/// the segment decoder ([`crate::codec::walk_segment`]) yields views over
+/// its frame buffer and topic table, so replay never materializes an
+/// owned event.
 #[derive(Debug, Clone, PartialEq)]
-pub enum OwnedSegmentEvent {
+pub enum EventView<'a> {
     /// A ROS2 middleware event.
-    Ros(RosEvent),
-    /// A kernel scheduler event.
+    Ros(RosEventView<'a>),
+    /// A kernel scheduler event (plain data, so carried by value).
     Sched(SchedEvent),
-}
-
-impl OwnedSegmentEvent {
-    /// The event's timestamp.
-    pub fn time(&self) -> Nanos {
-        match self {
-            OwnedSegmentEvent::Ros(e) => e.time,
-            OwnedSegmentEvent::Sched(e) => e.time,
-        }
-    }
 }
 
 /// Re-segments a trace into chunks of at most `events_per_segment` events,

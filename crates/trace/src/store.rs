@@ -9,8 +9,8 @@
 //! through the [`crate::EventSink`] impl, and a synthesis session can
 //! replay straight from the reader at far beyond collection speed.
 
-use crate::codec::{self, CodecError, TopicInterner};
-use crate::sink::{EventSink, OwnedSegmentEvent, TraceSegment};
+use crate::codec::{self, CodecError, TopicInterner, TopicTable};
+use crate::sink::{EventSink, EventView, TraceSegment};
 use crate::{RosEvent, SchedEvent};
 use serde::Serialize;
 use std::fs;
@@ -300,8 +300,8 @@ impl<W: Write> EventSink for SegmentWriter<W> {
 }
 
 /// Sequential reader for the binary segment-file container: yields the
-/// stored segments in file order, maintaining the topic dictionary as
-/// dictionary frames stream past.
+/// stored segments in file order, extending its [`TopicTable`] once per
+/// dictionary frame as the frames stream past.
 ///
 /// The reader is strict: every frame's CRC is verified, and reaching
 /// end-of-input without the index frame is an error
@@ -312,7 +312,7 @@ impl<W: Write> EventSink for SegmentWriter<W> {
 #[derive(Debug)]
 pub struct SegmentReader<R: Read> {
     inner: R,
-    dict: Vec<Arc<str>>,
+    topics: TopicTable,
     payload: Vec<u8>,
     meta: Option<String>,
     finished: bool,
@@ -352,7 +352,7 @@ impl<R: Read> SegmentReader<R> {
         }
         Ok(SegmentReader {
             inner,
-            dict: Vec::new(),
+            topics: TopicTable::new(),
             payload: Vec::new(),
             meta: None,
             finished: false,
@@ -364,9 +364,10 @@ impl<R: Read> SegmentReader<R> {
         self.meta.as_deref()
     }
 
-    /// The topic dictionary accumulated so far.
+    /// The topic dictionary accumulated so far. Every topic a decoded
+    /// record carries shares its name allocation with one of these.
     pub fn topics(&self) -> &[Arc<str>] {
-        &self.dict
+        self.topics.names()
     }
 
     /// Reads the next stored segment, or `None` after the index frame.
@@ -391,47 +392,36 @@ impl<R: Read> SegmentReader<R> {
     /// I/O failure.
     pub fn read_segment_into(&mut self, segment: &mut TraceSegment) -> Result<bool, CodecError> {
         segment.clear();
-        if self.finished {
-            return Ok(false);
-        }
-        loop {
-            let (kind, payload_len) = self.read_frame()?;
-            let payload = &self.payload[..payload_len];
-            match kind {
-                FRAME_DICT => codec::decode_dict_entries(payload, &mut self.dict)?,
-                FRAME_META => {
-                    let text =
-                        std::str::from_utf8(payload).map_err(|_| CodecError::BadUtf8)?;
-                    self.meta = Some(text.to_string());
-                }
-                FRAME_SEGMENT => {
-                    codec::decode_segment_into(payload, &self.dict, segment)?;
-                    return Ok(true);
-                }
-                FRAME_INDEX => {
-                    self.finished = true;
-                    return Ok(false);
-                }
-                k => return Err(CodecError::BadFrameKind(k)),
-            }
-        }
+        let Some(len) = self.next_segment_frame()? else { return Ok(false) };
+        codec::decode_segment_into(&self.payload[..len], &self.topics, segment)?;
+        Ok(true)
     }
 
-    /// Streams the next segment's events into `f`, in on-disk (merged
-    /// chronological) order, without materializing a [`TraceSegment`] —
-    /// the fused decode path `SynthesisSession::feed_reader` replays
-    /// through. Returns the segment's `(run_index, event_count)`, or
-    /// `None` once the index frame is reached.
+    /// Walks the next segment's records, handing `f` a borrowed
+    /// [`EventView`] of each in on-disk (merged chronological) order,
+    /// without materializing an event — the fused decode path
+    /// `SynthesisSession::feed_reader` replays through (see
+    /// [`codec::walk_segment`]). Returns the segment's
+    /// `(run_index, event_count)`, or `None` once the index frame is
+    /// reached.
     ///
     /// # Errors
     ///
-    /// Same failure surface as [`SegmentReader::read_segment`]; events
+    /// Same failure surface as [`SegmentReader::read_segment`]; views
     /// already handed to `f` before a mid-frame decode error stay
     /// delivered.
-    pub fn next_segment_events<F: FnMut(OwnedSegmentEvent)>(
+    pub fn walk_segment<F: FnMut(EventView<'_>)>(
         &mut self,
         f: F,
     ) -> Result<Option<(usize, usize)>, CodecError> {
+        let Some(len) = self.next_segment_frame()? else { return Ok(None) };
+        codec::walk_segment(&self.payload[..len], &self.topics, f).map(Some)
+    }
+
+    /// Reads frames up to the next segment frame, absorbing dictionary
+    /// and meta frames on the way. Returns the segment payload's length
+    /// (the payload is in `self.payload`), or `None` at the index frame.
+    fn next_segment_frame(&mut self) -> Result<Option<usize>, CodecError> {
         if self.finished {
             return Ok(None);
         }
@@ -439,15 +429,12 @@ impl<R: Read> SegmentReader<R> {
             let (kind, payload_len) = self.read_frame()?;
             let payload = &self.payload[..payload_len];
             match kind {
-                FRAME_DICT => codec::decode_dict_entries(payload, &mut self.dict)?,
+                FRAME_DICT => codec::decode_dict_entries(payload, &mut self.topics)?,
                 FRAME_META => {
-                    let text =
-                        std::str::from_utf8(payload).map_err(|_| CodecError::BadUtf8)?;
+                    let text = std::str::from_utf8(payload).map_err(|_| CodecError::BadUtf8)?;
                     self.meta = Some(text.to_string());
                 }
-                FRAME_SEGMENT => {
-                    return codec::decode_segment_events(payload, &self.dict, f).map(Some);
-                }
+                FRAME_SEGMENT => return Ok(Some(payload_len)),
                 FRAME_INDEX => {
                     self.finished = true;
                     return Ok(None);
@@ -528,7 +515,7 @@ fn map_eof(e: io::Error, at_boundary: CodecError) -> CodecError {
 #[derive(Debug)]
 pub struct IndexedSegmentFile<R: Read + Seek = io::BufReader<fs::File>> {
     inner: R,
-    dict: Vec<Arc<str>>,
+    topics: TopicTable,
     entries: Vec<SegmentIndexEntry>,
     payload: Vec<u8>,
 }
@@ -585,7 +572,7 @@ impl<R: Read + Seek> IndexedSegmentFile<R> {
         }
         let mut this = IndexedSegmentFile {
             inner,
-            dict: Vec::new(),
+            topics: TopicTable::new(),
             entries: Vec::new(),
             payload: Vec::new(),
         };
@@ -605,7 +592,7 @@ impl<R: Read + Seek> IndexedSegmentFile<R> {
                 return Err(CodecError::BadFrameKind(kind));
             }
             let payload = std::mem::take(&mut this.payload);
-            codec::decode_dict_entries(&payload[..len], &mut this.dict)?;
+            codec::decode_dict_entries(&payload[..len], &mut this.topics)?;
             this.payload = payload;
         }
         Ok(this)
@@ -628,7 +615,7 @@ impl<R: Read + Seek> IndexedSegmentFile<R> {
 
     /// The complete topic dictionary.
     pub fn topics(&self) -> &[Arc<str>] {
-        &self.dict
+        self.topics.names()
     }
 
     /// Reads the `i`-th stored segment (by file position).
@@ -647,7 +634,7 @@ impl<R: Read + Seek> IndexedSegmentFile<R> {
             return Err(CodecError::BadFrameKind(kind));
         }
         let payload = std::mem::take(&mut self.payload);
-        let result = codec::decode_segment(&payload[..len], &self.dict);
+        let result = codec::decode_segment(&payload[..len], &self.topics);
         self.payload = payload;
         result
     }

@@ -9,11 +9,11 @@
 //! *is* the merged walk order (so replaying a file needs no re-sort).
 
 use proptest::prelude::*;
-use rtms_trace::codec::{decode_dict_entries, decode_segment, decode_segment_events, encode_segment};
+use rtms_trace::codec::{decode_dict_entries, decode_segment, encode_segment, walk_segment};
 use rtms_trace::{
-    split_by_events, CallbackId, CallbackKind, Cpu, EventSink, Nanos, OwnedSegmentEvent, Pid,
-    Priority, RosEvent, RosPayload, SchedEvent, SegmentEvent, SegmentReader, SegmentWriter,
-    SourceTimestamp, ThreadState, Topic, TopicInterner, Trace, TraceSegment,
+    split_by_events, CallbackId, CallbackKind, Cpu, EventSink, EventView, Nanos, Pid, Priority,
+    RosEvent, RosPayload, SchedEvent, SegmentEvent, SegmentReader, SegmentWriter,
+    SourceTimestamp, ThreadState, Topic, TopicInterner, TopicTable, Trace, TraceSegment,
 };
 use std::sync::Arc;
 
@@ -116,12 +116,27 @@ fn arb_segment() -> impl Strategy<Value = TraceSegment> {
 }
 
 /// Encodes `segment` with a fresh interner and returns the segment
-/// payload plus the dictionary entries it interned.
-fn encode_fresh(segment: &TraceSegment) -> (Vec<u8>, Vec<Arc<str>>) {
+/// payload plus the decoder's table over the names it interned.
+fn encode_fresh(segment: &TraceSegment) -> (Vec<u8>, TopicTable) {
     let mut interner = TopicInterner::new();
     let mut payload = Vec::new();
     encode_segment(segment, &mut interner, &mut payload);
-    (payload, interner.entries().to_vec())
+    (payload, interner.entries().iter().cloned().collect())
+}
+
+/// A walked record made owned through [`rtms_trace::RosEventView::to_owned`],
+/// so walks over views of different buffers compare exactly.
+#[derive(Debug, PartialEq)]
+enum Walked {
+    Ros(RosEvent),
+    Sched(SchedEvent),
+}
+
+fn walked(e: EventView<'_>) -> Walked {
+    match e {
+        EventView::Ros(r) => Walked::Ros(r.to_owned()),
+        EventView::Sched(s) => Walked::Sched(s),
+    }
 }
 
 fn assert_segments_equal(a: &TraceSegment, b: &TraceSegment) {
@@ -148,7 +163,7 @@ proptest! {
         let decoded = decode_segment(&payload, &dict).expect("decodes");
         let (payload2, dict2) = encode_fresh(&decoded);
         prop_assert_eq!(payload, payload2);
-        prop_assert_eq!(dict, dict2);
+        prop_assert_eq!(dict.names(), dict2.names());
     }
 
     /// Decoded topic names are shared with the dictionary — one `Arc`
@@ -166,7 +181,7 @@ proptest! {
                 _ => continue,
             };
             prop_assert!(
-                dict.iter().any(|entry| Arc::ptr_eq(entry, topic.name_arc())),
+                dict.names().iter().any(|entry| Arc::ptr_eq(entry, topic.name_arc())),
                 "decoded topic {:?} does not alias a dictionary entry",
                 topic.name()
             );
@@ -178,11 +193,11 @@ proptest! {
     fn dictionary_round_trips(segment in arb_segment()) {
         let (_, dict) = encode_fresh(&segment);
         let mut frame = Vec::new();
-        rtms_trace::codec::encode_dict_entries(&dict, &mut frame);
-        let mut back = Vec::new();
+        rtms_trace::codec::encode_dict_entries(dict.names(), &mut frame);
+        let mut back = TopicTable::new();
         decode_dict_entries(&frame, &mut back).expect("dict decodes");
-        prop_assert_eq!(dict.len(), back.len());
-        for (a, b) in dict.iter().zip(&back) {
+        prop_assert_eq!(dict.names().len(), back.names().len());
+        for (a, b) in dict.names().iter().zip(back.names()) {
             prop_assert_eq!(a.as_ref(), b.as_ref());
         }
     }
@@ -243,21 +258,17 @@ proptest! {
         }
         segment.sort_by_time();
 
-        let walked: Vec<OwnedSegmentEvent> = segment
-            .cursor()
-            .map(|e| match e {
-                SegmentEvent::Ros(r) => OwnedSegmentEvent::Ros(r.clone()),
-                SegmentEvent::Sched(s) => OwnedSegmentEvent::Sched(s.clone()),
-            })
-            .collect();
+        let in_memory: Vec<Walked> =
+            segment.cursor().map(|e| walked(SegmentEvent::view(e))).collect();
 
         let (payload, dict) = encode_fresh(&segment);
         let mut on_disk = Vec::new();
-        decode_segment_events(&payload, &dict, |e| on_disk.push(e)).expect("decodes");
-        prop_assert_eq!(on_disk, walked);
+        walk_segment(&payload, &dict, |e| on_disk.push(walked(e))).expect("decodes");
+        prop_assert_eq!(on_disk, in_memory);
     }
 
-    /// The streaming decoder and the batch decoder agree event for event.
+    /// The streaming view walk and the owned decoder agree event for
+    /// event.
     #[test]
     fn streaming_and_batch_decode_agree(segment in arb_segment()) {
         let (payload, dict) = encode_fresh(&segment);
@@ -265,9 +276,9 @@ proptest! {
 
         let mut ros = Vec::new();
         let mut sched = Vec::new();
-        let (index, total) = decode_segment_events(&payload, &dict, |e| match e {
-            OwnedSegmentEvent::Ros(e) => ros.push(e),
-            OwnedSegmentEvent::Sched(e) => sched.push(e),
+        let (index, total) = walk_segment(&payload, &dict, |e| match e {
+            EventView::Ros(e) => ros.push(e.to_owned()),
+            EventView::Sched(e) => sched.push(e),
         })
         .expect("decodes");
         prop_assert_eq!(index, segment.index());

@@ -11,7 +11,7 @@
 use rtms_trace::{
     CallbackId, CallbackKind, CodecError, Cpu, EventSink, Nanos, Pid, Priority, RosEvent,
     RosPayload, SchedEvent, SegmentReader, SegmentWriter, SourceTimestamp, ThreadState, Topic,
-    TraceSegment, SEGMENT_FILE_VERSION,
+    TopicTable, TraceSegment, SEGMENT_FILE_VERSION,
 };
 
 /// A small two-segment file with a meta frame, a shared-topic dictionary,
@@ -81,14 +81,16 @@ fn try_replay(bytes: &[u8]) -> Result<Vec<TraceSegment>, CodecError> {
     Ok(segments)
 }
 
-/// The streaming-decode surface must be exactly as robust as the batch
-/// one; drive it over the same bytes.
+/// The borrowed-view walk (what fused replay consumes) must be exactly as
+/// robust as the owned decode; drive it over the same bytes.
 fn try_replay_streaming(bytes: &[u8]) -> Result<usize, CodecError> {
     let mut reader = SegmentReader::new(bytes)?;
     let mut events = 0usize;
-    while let Some((_, len)) = reader.next_segment_events(|_| {})? {
+    let mut viewed = 0usize;
+    while let Some((_, len)) = reader.walk_segment(|_| viewed += 1)? {
         events += len;
     }
+    assert_eq!(viewed, events, "every declared record is handed over as a view");
     Ok(events)
 }
 
@@ -229,7 +231,8 @@ fn absurd_record_count_is_rejected_by_budget() {
     rtms_util::varint::write_u64(&mut payload, 0);
     rtms_util::varint::write_u64(&mut payload, 1 << 40);
     rtms_util::varint::write_u64(&mut payload, 0);
-    let err = rtms_trace::codec::decode_segment(&payload, &[]).expect_err("must reject");
+    let err = rtms_trace::codec::decode_segment(&payload, &TopicTable::new())
+        .expect_err("must reject");
     match err {
         CodecError::BadCount { count, budget } => {
             assert_eq!(count, 1 << 40);
@@ -246,7 +249,7 @@ fn oversized_varints_are_rejected() {
     // Eleven 0x80 continuation bytes: longer than any valid u64 varint.
     let payload = vec![0x80u8; 11];
     assert!(matches!(
-        rtms_trace::codec::decode_segment(&payload, &[]),
+        rtms_trace::codec::decode_segment(&payload, &TopicTable::new()),
         Err(CodecError::BadVarint)
     ));
 }
@@ -258,12 +261,12 @@ fn oversized_dict_string_is_rejected() {
     let mut payload = Vec::new();
     rtms_util::varint::write_u64(&mut payload, 1); // one entry
     rtms_util::varint::write_u64(&mut payload, u64::from(u32::MAX)); // of absurd length
-    let mut dict = Vec::new();
+    let mut dict = TopicTable::new();
     match rtms_trace::codec::decode_dict_entries(&payload, &mut dict) {
         Err(CodecError::BadLength { .. } | CodecError::BadCount { .. }) => {}
         other => panic!("expected BadLength/BadCount, got {other:?}"),
     }
-    assert!(dict.is_empty());
+    assert!(dict.names().is_empty());
 }
 
 /// A topic reference pointing past the dictionary is a typed error, not
@@ -281,7 +284,7 @@ fn dangling_topic_reference_is_rejected() {
     rtms_trace::codec::encode_segment(&segment, &mut interner, &mut payload);
     // Decode against an *empty* dictionary: the reference dangles.
     assert!(matches!(
-        rtms_trace::codec::decode_segment(&payload, &[]),
+        rtms_trace::codec::decode_segment(&payload, &TopicTable::new()),
         Err(CodecError::BadTopicRef(_))
     ));
 }
@@ -305,7 +308,7 @@ fn segment_payload_truncation_never_panics() {
     let mut interner = rtms_trace::TopicInterner::new();
     let mut payload = Vec::new();
     rtms_trace::codec::encode_segment(&segment, &mut interner, &mut payload);
-    let dict = interner.entries().to_vec();
+    let dict: TopicTable = interner.entries().iter().cloned().collect();
     assert!(rtms_trace::codec::decode_segment(&payload, &dict).is_ok());
     for cut in 0..payload.len() {
         assert!(

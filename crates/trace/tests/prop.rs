@@ -1,11 +1,11 @@
 //! Property-based tests of the trace data model.
 
 use proptest::prelude::*;
-use rtms_trace::codec::{decode_segment_events, encode_segment};
+use rtms_trace::codec::{encode_segment, walk_segment};
 use rtms_trace::{
-    split_by_events, CallbackId, CallbackKind, Cpu, Nanos, OwnedSegmentEvent, Pid, Priority,
-    RosEvent, RosPayload, SchedEvent, SegmentEvent, SourceTimestamp, ThreadState, Topic,
-    TopicInterner, Trace,
+    split_by_events, CallbackId, CallbackKind, Cpu, EventView, Nanos, Pid, Priority, RosEvent,
+    RosPayload, SchedEvent, SegmentEvent, SourceTimestamp, ThreadState, Topic, TopicInterner,
+    TopicTable, Trace,
 };
 
 fn arb_nanos() -> impl Strategy<Value = Nanos> {
@@ -72,14 +72,33 @@ fn arb_sched_event() -> impl Strategy<Value = SchedEvent> {
     )
 }
 
-/// Clones a by-ref cursor event into the owned representation, so walks
-/// over different segmentations (and decoded segment frames) compare
-/// exactly.
-fn to_owned_event(e: SegmentEvent<'_>) -> OwnedSegmentEvent {
-    match e {
-        SegmentEvent::Ros(r) => OwnedSegmentEvent::Ros(r.clone()),
-        SegmentEvent::Sched(s) => OwnedSegmentEvent::Sched(s.clone()),
+/// A walked record made owned through [`rtms_trace::RosEventView::to_owned`],
+/// so walks over different segmentations (and views decoded from segment
+/// frames) compare exactly.
+#[derive(Debug, PartialEq)]
+enum Walked {
+    Ros(RosEvent),
+    Sched(SchedEvent),
+}
+
+impl Walked {
+    fn of(e: EventView<'_>) -> Walked {
+        match e {
+            EventView::Ros(r) => Walked::Ros(r.to_owned()),
+            EventView::Sched(s) => Walked::Sched(s),
+        }
     }
+
+    fn time(&self) -> Nanos {
+        match self {
+            Walked::Ros(e) => e.time,
+            Walked::Sched(e) => e.time,
+        }
+    }
+}
+
+fn to_owned_event(e: SegmentEvent<'_>) -> Walked {
+    Walked::of(e.view())
 }
 
 proptest! {
@@ -199,7 +218,7 @@ proptest! {
         // stays unsorted so `split_by_events` has to order it.
         let mut sorted = t.clone();
         sorted.sort_by_time();
-        let reference: Vec<OwnedSegmentEvent> = sorted.cursor().map(to_owned_event).collect();
+        let reference: Vec<Walked> = sorted.cursor().map(to_owned_event).collect();
 
         // The walk is chronological; at a shared timestamp every ROS2
         // event precedes every scheduler event.
@@ -207,8 +226,7 @@ proptest! {
             prop_assert!(w[0].time() <= w[1].time());
             if w[0].time() == w[1].time() {
                 prop_assert!(
-                    matches!(w[0], OwnedSegmentEvent::Ros(_))
-                        || !matches!(w[1], OwnedSegmentEvent::Ros(_)),
+                    matches!(w[0], Walked::Ros(_)) || !matches!(w[1], Walked::Ros(_)),
                     "a scheduler event must never precede a ROS2 event at the same timestamp"
                 );
             }
@@ -218,7 +236,7 @@ proptest! {
         // sequence, both via per-segment cursors and via the on-disk
         // record order of each encoded segment.
         let segments = split_by_events(&t, per_segment);
-        let walked: Vec<OwnedSegmentEvent> = segments
+        let walked: Vec<Walked> = segments
             .iter()
             .flat_map(|s| s.cursor().map(to_owned_event).collect::<Vec<_>>())
             .collect();
@@ -229,8 +247,8 @@ proptest! {
         for segment in &segments {
             let mut payload = Vec::new();
             encode_segment(segment, &mut dict, &mut payload);
-            decode_segment_events(&payload, dict.entries(), |e| decoded.push(e))
-                .expect("decodes");
+            let topics: TopicTable = dict.entries().iter().cloned().collect();
+            walk_segment(&payload, &topics, |e| decoded.push(Walked::of(e))).expect("decodes");
         }
         prop_assert_eq!(&decoded, &reference);
     }

@@ -11,10 +11,11 @@
 
 use rtms_bench::{bench_world_profiled, live_model, replay_path, RecordMeta};
 use rtms_core::SynthesisSession;
-use rtms_trace::{Nanos, SegmentReader, SegmentWriter};
+use rtms_trace::{CodecError, Nanos, SegmentReader, SegmentWriter};
 use rtms_workloads::{WorldProfile, CORPUS_CASES};
 use serde::Deserialize;
 use std::path::PathBuf;
+use std::sync::Arc;
 
 /// Mirror of the manifest entries `record corpus=` writes.
 struct ManifestEntry {
@@ -184,5 +185,88 @@ fn generated_apps_replay_byte_identical() {
             serde_json::to_string(&live).expect("ser"),
             "seed {seed} {profile:?}: replayed model is not byte-identical to the live model"
         );
+    }
+}
+
+/// Replays `bytes` through the fused walk (`SynthesisSession::feed_reader`)
+/// and returns the model digest as the manifest spells it.
+fn replay_digest(bytes: &[u8]) -> Result<String, CodecError> {
+    let mut reader = SegmentReader::new(bytes)?;
+    let mut session = SynthesisSession::new();
+    session.feed_reader(&mut reader)?;
+    Ok(format!("{:016x}", session.model().digest()))
+}
+
+/// The walker entry is as robust as the decoder: every truncation point
+/// and every single-bit flip of a corpus file, fed through
+/// `feed_reader`, fails with a typed `CodecError` or replays to the
+/// committed digest — never a panic, never a silently different model.
+#[test]
+fn corrupt_corpus_bytes_fail_typed_or_replay_to_the_digest() {
+    let entry = load_manifest().into_iter().find(|e| e.name == "app-f").expect("app-f case");
+    let file = std::fs::read(corpus_dir().join(&entry.file)).expect("read corpus file");
+    assert_eq!(file.len() as u64, entry.bytes);
+    assert_eq!(replay_digest(&file).expect("intact file"), entry.model_digest);
+
+    // The sequential reader never consumes the 16-byte trailer, so only
+    // cuts inside it still replay.
+    let trailer_start = file.len() - 16;
+    for cut in 0..file.len() {
+        match replay_digest(&file[..cut]) {
+            Ok(digest) => {
+                assert!(cut >= trailer_start, "a {cut}-byte prefix replayed as complete");
+                assert_eq!(digest, entry.model_digest, "a {cut}-byte prefix");
+            }
+            Err(_) => assert!(cut < trailer_start, "a {cut}-byte prefix failed: trailer only"),
+        }
+    }
+
+    let mut detected = 0usize;
+    for byte in 0..file.len() {
+        for bit in 0..8 {
+            let mut mutated = file.clone();
+            mutated[byte] ^= 1 << bit;
+            match replay_digest(&mutated) {
+                Err(_) => detected += 1,
+                Ok(digest) => assert_eq!(
+                    digest, entry.model_digest,
+                    "flipping bit {bit} of byte {byte} silently changed the model"
+                ),
+            }
+        }
+    }
+    // Every bit between the 12-byte header and the trailer is framed and
+    // checksummed, so every flip there is detected.
+    assert!(detected >= (trailer_start - 12) * 8, "only {detected} flips detected");
+}
+
+/// Replay keeps topic names shared: every undecorated topic name in the
+/// replayed callback records is the reader's dictionary allocation
+/// itself, not a copy.
+#[test]
+fn replayed_plain_topic_names_are_the_dictionary_allocations() {
+    for entry in load_manifest() {
+        let mut reader =
+            SegmentReader::open(corpus_dir().join(&entry.file)).expect("open corpus file");
+        let mut session = SynthesisSession::new();
+        session.feed_reader(&mut reader).expect("replay");
+        let mut plain = 0usize;
+        for (_, list) in session.callback_lists() {
+            for rec in list.entries() {
+                for name in rec.in_topic.iter().chain(&rec.out_topics) {
+                    if name.contains('#') {
+                        continue; // decorated: built by synthesis, not read
+                    }
+                    let dict = reader.topics().iter().find(|d| *d == name);
+                    assert!(
+                        dict.is_some_and(|d| Arc::ptr_eq(d, name)),
+                        "{}: topic {name:?} does not alias the dictionary entry",
+                        entry.name
+                    );
+                    plain += 1;
+                }
+            }
+        }
+        assert!(plain > 0, "{}: no plain topic names to check", entry.name);
     }
 }
