@@ -262,7 +262,9 @@ impl WorldBuilder {
     }
 
     /// Also records `sched_wakeup` events, enabling the waiting-time
-    /// measurement of Sec. VII. Off by default, as in the paper.
+    /// measurement of Sec. VII. Off by default, as in the paper. Combined
+    /// with [`WorldBuilder::unfiltered_kernel_tracer`], the kernel tracer
+    /// exports the machine's complete scheduler stream.
     pub fn record_wakeups(mut self) -> Self {
         self.record_wakeups = true;
         self
@@ -388,11 +390,11 @@ impl WorldBuilder {
             }
         }
 
-        let tracers = match (self.filtered_kernel, self.record_wakeups) {
-            (true, false) => TracerSet::new(),
-            (true, true) => TracerSet::new_with_wakeups(),
-            (false, _) => TracerSet::new_unfiltered(),
-        };
+        let mut tracers =
+            if self.filtered_kernel { TracerSet::new() } else { TracerSet::new_unfiltered() };
+        if self.record_wakeups {
+            tracers.kernel = tracers.kernel.with_wakeups();
+        }
         let world = Rc::new(RefCell::new(WorldState {
             // The QoS RNG gets its own stream, decorrelated from the
             // workload RNG so enabling QoS never perturbs execution-time
