@@ -120,9 +120,11 @@ struct Thread {
 
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum EvKind {
-    /// The running thread's current `Compute` finishes.
+    /// The running thread's current `Compute` finishes (reference engine
+    /// only; the indexed engine keeps it in a per-CPU slot).
     OpComplete { pid: Pid, gen: u64 },
-    /// Round-robin timeslice check.
+    /// Round-robin timeslice check (reference engine only; the indexed
+    /// engine keeps it in a per-CPU slot).
     SliceCheck { cpu: Cpu, pid: Pid, gen: u64 },
     /// A scheduled (timed) wakeup fires.
     WakeAt { pid: Pid },
@@ -161,17 +163,23 @@ enum Engine {
     Reference,
 }
 
-/// A pending round-robin slice check, held out of the event heap in a
-/// per-CPU slot. `seq` comes from the same counter as heap events, so
-/// comparing `(time, seq)` against the heap top reproduces the exact pop
-/// order the heap-armed reference engine sees.
-#[derive(Debug, Clone, Copy)]
-struct SliceSlot {
-    time: Nanos,
-    seq: u64,
-    pid: Pid,
-    gen: u64,
+/// The `(time, seq)` order key of a pending event packed into one
+/// integer, so slots and the heap top compare with a single `<`.
+fn event_key(time: Nanos, seq: u64) -> u128 {
+    (u128::from(time.as_nanos()) << 64) | u128::from(seq)
 }
+
+/// The key of an unarmed slot: it sorts after every armed event.
+const EMPTY_SLOT: u128 = u128::MAX;
+
+/// Per-CPU slot layout (indexed engine): slot `2 * cpu` holds the running
+/// thread's pending `Compute` completion, slot `2 * cpu + 1` its pending
+/// round-robin slice check. A running thread has at most one of each, and
+/// both belong to whatever thread currently occupies the CPU:
+/// [`Simulator::deschedule`] clears the pair, so a slot can never fire
+/// stale.
+const COMPLETION: usize = 0;
+const SLICE: usize = 1;
 
 /// Priority-indexed FIFO runqueue: one `VecDeque` of thread indices per
 /// distinct priority (bucket 0 is the highest priority), plus a bitmask of
@@ -240,16 +248,20 @@ impl RunQueue {
 /// Snapshot them with [`Simulator::stats`]; all counters are cumulative
 /// since the simulator was built. `rebalance_skipped / events` measures how
 /// often the dirty gate saved a scheduling pass, and `stale_pops / events`
-/// tracks heap churn from invalidated timer events.
+/// tracks heap churn from invalidated timer events (always zero on the
+/// default engine).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct SimStats {
-    /// Events processed by the main loop (heap pops plus virtual slice
-    /// slots fired).
+    /// Events processed by the main loop (heap pops plus per-CPU
+    /// completion and slice slots fired).
     pub events: u64,
-    /// Events pushed onto the binary heap.
+    /// Events pushed onto the binary heap. On the default engine only
+    /// timed wakeups go there; completions and slice checks live in
+    /// per-CPU slots. The reference engine pushes every event.
     pub heap_pushes: u64,
     /// Popped events that were stale (the thread was descheduled after the
-    /// event was armed) and did nothing.
+    /// event was armed) and did nothing. Only the reference engine has
+    /// any: the default engine's slots are cleared at deschedule.
     pub stale_pops: u64,
     /// Round-robin slice checks armed (slot writes, or heap pushes on the
     /// reference engine).
@@ -397,7 +409,7 @@ impl SimulatorBuilder {
             ready,
             runqueue,
             bucket_prios,
-            slice_slots: vec![None; cpus],
+            slots: vec![EMPTY_SLOT; 2 * cpus],
             dirty: true,
             engine,
             queue: BinaryHeap::new(),
@@ -434,8 +446,9 @@ pub struct Simulator {
     /// Priority of each runqueue bucket (descending), for the preemption
     /// early-out.
     bucket_prios: Vec<Priority>,
-    /// Per-CPU pending slice check (indexed engine; never in the heap).
-    slice_slots: Vec<Option<SliceSlot>>,
+    /// Per-CPU completion and slice-check slots (indexed engine; see
+    /// [`COMPLETION`]), keyed by [`event_key`].
+    slots: Vec<u128>,
     /// Set whenever the ready or running sets change; a scheduling pass is
     /// only needed while this holds (indexed engine).
     dirty: bool,
@@ -463,7 +476,10 @@ impl Simulator {
         self.running.len()
     }
 
-    /// Disables in-memory recording of scheduler events (sinks still fire).
+    /// Enables or disables in-memory recording of scheduler events into
+    /// [`Simulator::sched_events`] (on by default; sinks fire either way).
+    /// The log grows with run length, so long runs that consume the
+    /// stream through a sink turn it off.
     pub fn set_recording(&mut self, record: bool) {
         self.record = record;
     }
@@ -553,48 +569,42 @@ impl Simulator {
 
         loop {
             // The next event is the min of `(time, seq)` over the heap top
-            // and the per-CPU virtual slice slots. Slot seqs come from the
-            // same counter as heap seqs, so this is exactly the pop order
-            // of the reference engine's single heap.
-            let heap_key = self.queue.peek().map(|&Reverse(ev)| (ev.time, ev.seq));
-            let mut slot_best: Option<(Nanos, u64, usize)> = None;
-            for (c, slot) in self.slice_slots.iter().enumerate() {
-                if let Some(s) = slot {
-                    if slot_best.is_none_or(|(t, q, _)| (s.time, s.seq) < (t, q)) {
-                        slot_best = Some((s.time, s.seq, c));
-                    }
-                }
+            // and the 2 * cpus per-CPU slots. Slot seqs come from the same
+            // counter as heap seqs, so this is exactly the pop order of the
+            // reference engine's single heap, minus its stale entries.
+            let (slot, slot_key) = self
+                .slots
+                .iter()
+                .enumerate()
+                .fold((0, EMPTY_SLOT), |best, (i, &k)| if k < best.1 { (i, k) } else { best });
+            let heap_key =
+                self.queue.peek().map_or(EMPTY_SLOT, |&Reverse(ev)| event_key(ev.time, ev.seq));
+            let key = slot_key.min(heap_key);
+            if key == EMPTY_SLOT {
+                break;
             }
-            let use_slot = match (heap_key, slot_best) {
-                (None, None) => break,
-                (Some(_), None) => false,
-                (None, Some(_)) => true,
-                (Some((ht, hs)), Some((st, ss, _))) => (st, ss) < (ht, hs),
-            };
-            if use_slot {
-                let (time, _, c) = slot_best.expect("slot chosen");
-                if time > until {
-                    break;
+            let time = Nanos::from_nanos((key >> 64) as u64);
+            if time > until {
+                break;
+            }
+            debug_assert!(time >= self.now, "event order must be monotonic");
+            self.now = time;
+            self.stats.events += 1;
+            if slot_key < heap_key {
+                self.slots[slot] = EMPTY_SLOT;
+                let cpu = slot / 2;
+                let pid = self.running[cpu].expect("an armed slot's CPU is occupied");
+                if slot % 2 == COMPLETION {
+                    self.complete_op(pid);
+                } else {
+                    self.on_slice_check_indexed(Cpu::new(cpu as u16), pid);
                 }
-                debug_assert!(time >= self.now, "slice slots must be monotonic");
-                self.now = time;
-                let slot = self.slice_slots[c].take().expect("slot present");
-                self.stats.events += 1;
-                self.on_slice_check_indexed(Cpu::new(c as u16), slot.pid, slot.gen);
             } else {
-                let (time, _) = heap_key.expect("heap top chosen");
-                if time > until {
-                    break;
-                }
                 let Reverse(ev) = self.queue.pop().expect("heap top present");
-                debug_assert!(ev.time >= self.now, "event queue must be monotonic");
-                self.now = ev.time;
-                self.stats.events += 1;
                 match ev.kind {
-                    EvKind::OpComplete { pid, gen } => self.on_op_complete(pid, gen),
                     EvKind::WakeAt { pid } => self.wake_request(pid),
-                    EvKind::SliceCheck { cpu, pid, gen } => {
-                        self.on_slice_check_indexed(cpu, pid, gen)
+                    EvKind::OpComplete { .. } | EvKind::SliceCheck { .. } => {
+                        unreachable!("the indexed engine keeps these in per-CPU slots")
                     }
                 }
             }
@@ -617,7 +627,7 @@ impl Simulator {
             self.now = ev.time;
             self.stats.events += 1;
             match ev.kind {
-                EvKind::OpComplete { pid, gen } => self.on_op_complete(pid, gen),
+                EvKind::OpComplete { pid, gen } => self.on_op_complete_reference(pid, gen),
                 EvKind::WakeAt { pid } => self.wake_request(pid),
                 EvKind::SliceCheck { cpu, pid, gen } => self.on_slice_check_reference(cpu, pid, gen),
             }
@@ -635,9 +645,14 @@ impl Simulator {
         idx
     }
 
-    fn push_event(&mut self, time: Nanos, kind: EvKind) {
+    fn next_seq(&mut self) -> u64 {
         let seq = self.seq;
         self.seq += 1;
+        seq
+    }
+
+    fn push_event(&mut self, time: Nanos, kind: EvKind) {
+        let seq = self.next_seq();
         self.stats.heap_pushes += 1;
         self.queue.push(Reverse(Ev { time, seq, kind }));
     }
@@ -706,14 +721,21 @@ impl Simulator {
         self.push_event(at, EvKind::WakeAt { pid });
     }
 
-    fn on_op_complete(&mut self, pid: Pid, gen: u64) {
+    fn on_op_complete_reference(&mut self, pid: Pid, gen: u64) {
         let idx = self.index(pid);
         if self.threads[idx].gen != gen || !matches!(self.threads[idx].state, RunState::Running(_))
         {
             self.stats.stale_pops += 1;
             return; // stale: the thread was descheduled in the meantime
         }
+        self.complete_op(pid);
+    }
+
+    /// The running thread's current `Compute` finished: ask its logic for
+    /// the next op.
+    fn complete_op(&mut self, pid: Pid) {
         self.account_runtime(pid);
+        let idx = self.index(pid);
         self.threads[idx].remaining = None;
         self.run_logic(pid);
     }
@@ -741,17 +763,14 @@ impl Simulator {
         }
     }
 
-    fn on_slice_check_indexed(&mut self, cpu: Cpu, pid: Pid, gen: u64) {
-        let idx = self.index(pid);
-        if self.running[cpu.index()] != Some(pid) || self.threads[idx].gen != gen {
-            self.stats.stale_pops += 1;
-            return; // stale
-        }
-        let bucket = self.threads[idx].bucket as usize;
+    /// A slice slot fired for `pid`, the thread on `cpu` (slots are
+    /// cleared at deschedule, so it is never stale).
+    fn on_slice_check_indexed(&mut self, cpu: Cpu, pid: Pid) {
+        let bucket = self.threads[self.index(pid)].bucket as usize;
         if self.has_contender_for(bucket, cpu) {
             self.preempt(pid);
         } else {
-            self.arm_slice(cpu, pid, gen);
+            self.arm_slice(cpu, pid);
         }
     }
 
@@ -784,17 +803,31 @@ impl Simulator {
     /// both the check and its seq bump are elided — dropping entries from
     /// the push sequence shifts later seqs uniformly and preserves the
     /// relative order of everything that remains.
-    fn arm_slice(&mut self, cpu: Cpu, pid: Pid, gen: u64) {
+    fn arm_slice(&mut self, cpu: Cpu, pid: Pid) {
         let idx = self.index(pid);
         if !self.threads[idx].contended {
             self.stats.slice_suppressed += 1;
             return;
         }
-        let seq = self.seq;
-        self.seq += 1;
+        let seq = self.next_seq();
         self.stats.slice_arms += 1;
-        self.slice_slots[cpu.index()] =
-            Some(SliceSlot { time: self.now + self.timeslice, seq, pid, gen });
+        self.slots[2 * cpu.index() + SLICE] = event_key(self.now + self.timeslice, seq);
+    }
+
+    /// Arms the completion of `pid`'s current `Compute` op at `at`.
+    ///
+    /// The indexed engine writes `cpu`'s completion slot, drawing its seq
+    /// exactly where the reference engine pushes its `OpComplete` heap
+    /// event, so both see the same `(time, seq)` keys. A deschedule clears
+    /// the slot, which is what removes the reference engine's stale pops.
+    fn arm_completion(&mut self, cpu: Cpu, pid: Pid, gen: u64, at: Nanos) {
+        match self.engine {
+            Engine::Indexed => {
+                let seq = self.next_seq();
+                self.slots[2 * cpu.index() + COMPLETION] = event_key(at, seq);
+            }
+            Engine::Reference => self.push_event(at, EvKind::OpComplete { pid, gen }),
+        }
     }
 
     /// Removes `pid` from its CPU. `target` must be `Runnable` (preemption /
@@ -810,10 +843,10 @@ impl Simulator {
         self.threads[idx].gen += 1;
         self.threads[idx].last_cpu = cpu;
         self.running[cpu.index()] = None;
-        // Any armed slice check for this CPU is stale now (the gen bump
-        // above guarantees it would no-op); drop it so the pop loop never
-        // sees it.
-        self.slice_slots[cpu.index()] = None;
+        // The CPU's pending completion and slice check belonged to this
+        // thread; drop both so the main loop never sees a stale event.
+        self.slots[2 * cpu.index() + COMPLETION] = EMPTY_SLOT;
+        self.slots[2 * cpu.index() + SLICE] = EMPTY_SLOT;
         self.dirty = true;
         if target == RunState::Runnable {
             self.make_ready(idx);
@@ -871,7 +904,7 @@ impl Simulator {
         self.running[cpu.index()] = Some(pid);
         match self.threads[idx].remaining {
             Some(rem) => {
-                self.push_event(self.now + rem, EvKind::OpComplete { pid, gen });
+                self.arm_completion(cpu, pid, gen, self.now + rem);
                 self.arm_slice_for_engine(cpu, pid, gen);
             }
             None => {
@@ -888,7 +921,7 @@ impl Simulator {
 
     fn arm_slice_for_engine(&mut self, cpu: Cpu, pid: Pid, gen: u64) {
         match self.engine {
-            Engine::Indexed => self.arm_slice(cpu, pid, gen),
+            Engine::Indexed => self.arm_slice(cpu, pid),
             Engine::Reference => {
                 let slice = self.timeslice;
                 self.stats.slice_arms += 1;
@@ -907,9 +940,12 @@ impl Simulator {
             let idx = self.index(pid);
             match op {
                 Op::Compute(d) => {
+                    let RunState::Running(cpu) = self.threads[idx].state else {
+                        unreachable!("only a running thread computes")
+                    };
                     let gen = self.threads[idx].gen;
                     self.threads[idx].remaining = Some(d);
-                    self.push_event(self.now + d, EvKind::OpComplete { pid, gen });
+                    self.arm_completion(cpu, pid, gen, self.now + d);
                     break;
                 }
                 Op::Block { until } => {
@@ -1545,7 +1581,11 @@ mod tests {
 
     #[test]
     fn stats_track_engine_work() {
-        let mut b = SimulatorBuilder::new(1);
+        // Two equal-priority 10 ms jobs on two cores: each arms slice
+        // checks (it has an equal-priority peer), but while both run no
+        // contender is ready, so every check re-arms without a scheduling
+        // pass. A sleeper wakes once the jobs are done.
+        let mut b = SimulatorBuilder::new(2);
         for i in 0..2 {
             b.spawn(
                 format!("t{i}"),
@@ -1554,19 +1594,59 @@ mod tests {
                 Box::new(ScriptedLogic::new(vec![compute(10)])),
             );
         }
+        b.spawn(
+            "sleeper",
+            Priority::NORMAL,
+            Affinity::all(),
+            Box::new(ScriptedLogic::new(vec![Op::sleep_until(Nanos::from_millis(25)), compute(1)])),
+        );
         let mut sim = b.build();
         sim.run_until(Nanos::from_millis(30));
         let stats = sim.stats();
         assert!(stats.events > 0, "events must be counted");
-        assert!(stats.heap_pushes > 0, "op completions go through the heap");
+        assert_eq!(stats.heap_pushes, 1, "only the timed wakeup goes through the heap");
         assert!(stats.slice_arms > 0, "equal priorities arm slice checks");
         assert!(
             stats.rebalance_skipped > 0,
-            "slice re-arms must not trigger scheduling passes"
+            "uncontended slice re-arms must not trigger scheduling passes"
         );
+        assert_eq!(stats.stale_pops, 0, "per-CPU slots never fire stale");
         assert_eq!(stats.switches, sim.switch_count());
-        // Two equal-priority threads: nothing is suppressed.
+        // Equal-priority peers: nothing is suppressed.
         assert_eq!(stats.slice_suppressed, 0);
+    }
+
+    #[test]
+    fn preempted_completions_never_pop_stale() {
+        // Round robin on one core preempts every in-flight `Compute`: the
+        // reference engine pops each abandoned completion as a stale heap
+        // entry, while the indexed engine clears it with the slot.
+        let run = |reference: bool| {
+            let mut b = SimulatorBuilder::new(1);
+            if reference {
+                b = b.reference_engine();
+            }
+            for i in 0..3 {
+                b.spawn(
+                    format!("t{i}"),
+                    Priority::NORMAL,
+                    Affinity::all(),
+                    Box::new(ScriptedLogic::new(vec![compute(5), compute(3)])),
+                );
+            }
+            let mut sim = b.build();
+            sim.run_until(Nanos::from_millis(40));
+            sim
+        };
+        let (indexed, reference) = (run(false), run(true));
+        assert_eq!(indexed.sched_events(), reference.sched_events());
+        assert!(reference.stats().stale_pops > 0, "the scenario preempts computes");
+        assert_eq!(indexed.stats().stale_pops, 0);
+        assert_eq!(
+            indexed.stats().events + reference.stats().stale_pops,
+            reference.stats().events,
+            "the indexed engine processes the same events minus the stale ones"
+        );
     }
 
     #[test]
