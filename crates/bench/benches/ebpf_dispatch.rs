@@ -22,7 +22,7 @@ fn bench_rt_dispatch(c: &mut Criterion) {
                     pid,
                     FunctionArgs::RmwTakeInt {
                         subscription: CallbackId::new(1),
-                        topic: topic.clone(),
+                        topic: &topic,
                         src_ts: SrcTsRef::pending(0x1000 + i),
                     },
                 ),
@@ -31,7 +31,7 @@ fn bench_rt_dispatch(c: &mut Criterion) {
                     pid,
                     FunctionArgs::RmwTakeInt {
                         subscription: CallbackId::new(1),
-                        topic: topic.clone(),
+                        topic: &topic,
                         src_ts: SrcTsRef::resolved(0x1000 + i, SourceTimestamp::new(i)),
                     },
                 ),

@@ -5,6 +5,10 @@
 //! program can reach by traversing the function's argument structures —
 //! including the restriction that out-parameters (the source timestamp of
 //! `rmw_take_*`) have no defined value at function entry.
+//!
+//! Arguments *borrow* the caller's names, like the pointers a real probe
+//! reads through: a call costs no allocation or refcount traffic, and a
+//! tracer copies a name only when it exports a record that carries it.
 
 use rtms_trace::{CallbackId, Nanos, Pid, SourceTimestamp, Topic};
 use std::fmt;
@@ -57,12 +61,12 @@ impl SrcTsRef {
 ///
 /// Each variant corresponds to a probed symbol; the fields are what the
 /// paper's programs extract by walking the real argument structs.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum FunctionArgs {
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum FunctionArgs<'a> {
     /// `rmw_create_node(name, ...)` — P1.
     RmwCreateNode {
         /// The node name.
-        node_name: String,
+        node_name: &'a str,
     },
     /// `rclcpp::Executor::execute_timer(...)` — P2 (entry) / P4 (exit).
     ExecuteTimer,
@@ -78,7 +82,7 @@ pub enum FunctionArgs {
         /// The subscriber callback identity.
         subscription: CallbackId,
         /// The subscribed topic.
-        topic: Topic,
+        topic: &'a Topic,
         /// The by-reference source timestamp.
         src_ts: SrcTsRef,
     },
@@ -91,7 +95,7 @@ pub enum FunctionArgs {
         /// The service callback identity.
         service: CallbackId,
         /// The service request topic.
-        topic: Topic,
+        topic: &'a Topic,
         /// The by-reference source timestamp.
         src_ts: SrcTsRef,
     },
@@ -102,7 +106,7 @@ pub enum FunctionArgs {
         /// The client callback identity.
         client: CallbackId,
         /// The service response topic.
-        topic: Topic,
+        topic: &'a Topic,
         /// The by-reference source timestamp.
         src_ts: SrcTsRef,
     },
@@ -117,13 +121,13 @@ pub enum FunctionArgs {
     /// `dds_write_impl(writer, sample)` — P16.
     DdsWriteImpl {
         /// The written topic.
-        topic: Topic,
+        topic: &'a Topic,
         /// The source timestamp stamped on the sample.
         src_ts: SourceTimestamp,
     },
 }
 
-impl FunctionArgs {
+impl FunctionArgs<'_> {
     /// The `(library, function)` symbol this argument structure belongs to,
     /// matching Table I.
     pub fn symbol(&self) -> (&'static str, &'static str) {
@@ -147,8 +151,8 @@ impl FunctionArgs {
 }
 
 /// One observed function entry or exit, as seen by an attached probe.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct FunctionCall {
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct FunctionCall<'a> {
     /// When the probe fired.
     pub time: Nanos,
     /// The thread on which the function ran.
@@ -156,17 +160,17 @@ pub struct FunctionCall {
     /// Entry (uprobe) or exit (uretprobe).
     pub point: AttachPoint,
     /// The simulated argument structures.
-    pub args: FunctionArgs,
+    pub args: FunctionArgs<'a>,
 }
 
-impl FunctionCall {
+impl<'a> FunctionCall<'a> {
     /// Creates a function-entry observation.
-    pub fn entry(time: Nanos, pid: Pid, args: FunctionArgs) -> Self {
+    pub fn entry(time: Nanos, pid: Pid, args: FunctionArgs<'a>) -> Self {
         FunctionCall { time, pid, point: AttachPoint::Entry, args }
     }
 
     /// Creates a function-exit observation.
-    pub fn exit(time: Nanos, pid: Pid, args: FunctionArgs) -> Self {
+    pub fn exit(time: Nanos, pid: Pid, args: FunctionArgs<'a>) -> Self {
         FunctionCall { time, pid, point: AttachPoint::Exit, args }
     }
 }
@@ -187,13 +191,13 @@ mod tests {
     #[test]
     fn symbols_match_table_i() {
         assert_eq!(
-            FunctionArgs::RmwCreateNode { node_name: "n".into() }.symbol(),
+            FunctionArgs::RmwCreateNode { node_name: "n" }.symbol(),
             ("rmw_cyclonedds_cpp", "rmw_create_node")
         );
         assert_eq!(FunctionArgs::ExecuteTimer.symbol(), ("rclcpp", "execute_timer"));
         assert_eq!(
             FunctionArgs::DdsWriteImpl {
-                topic: Topic::plain("/t"),
+                topic: &Topic::plain("/t"),
                 src_ts: SourceTimestamp::new(1)
             }
             .symbol(),

@@ -26,7 +26,7 @@ use rtms_trace::{Probe, RosEvent, RosPayload};
 /// tracer.on_function(&FunctionCall::entry(
 ///     Nanos::ZERO,
 ///     Pid::new(42),
-///     FunctionArgs::RmwCreateNode { node_name: "lidar_filter".into() },
+///     FunctionArgs::RmwCreateNode { node_name: "lidar_filter" },
 /// ));
 /// assert!(filter.contains(&Pid::new(42)));
 /// assert_eq!(tracer.drain_segment().len(), 1);
@@ -87,18 +87,18 @@ impl Ros2InitTracer {
     }
 
     /// Observes a probed function call.
-    pub fn on_function(&mut self, call: &FunctionCall) {
+    pub fn on_function(&mut self, call: &FunctionCall<'_>) {
         if !self.enabled || call.point != AttachPoint::Entry {
             return;
         }
-        if let FunctionArgs::RmwCreateNode { node_name } = &call.args {
+        if let FunctionArgs::RmwCreateNode { node_name } = call.args {
             // 5 helper calls: ktime, pid, read node name, map update, output.
             self.overhead.charge(Probe::P1, 5);
             let _ = self.pid_filter.update(call.pid, ());
             self.perf.push(RosEvent::new(
                 call.time,
                 call.pid,
-                RosPayload::NodeInit { node_name: node_name.clone() },
+                RosPayload::NodeInit { node_name: node_name.to_string() },
             ));
         }
     }
@@ -131,11 +131,11 @@ mod tests {
     use crate::map::pid_filter_map;
     use rtms_trace::{Nanos, Pid};
 
-    fn create_node_call(pid: u32, name: &str) -> FunctionCall {
+    fn create_node_call(pid: u32, name: &str) -> FunctionCall<'_> {
         FunctionCall::entry(
             Nanos::ZERO,
             Pid::new(pid),
-            FunctionArgs::RmwCreateNode { node_name: name.into() },
+            FunctionArgs::RmwCreateNode { node_name: name },
         )
     }
 

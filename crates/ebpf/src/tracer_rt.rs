@@ -137,14 +137,15 @@ impl Ros2RtTracer {
     }
 
     /// Observes a probed middleware function call and exports the
-    /// corresponding Table I event (if any).
-    pub fn on_function(&mut self, call: &FunctionCall) {
+    /// corresponding Table I event (if any). Topic names are cloned only
+    /// into an exported record.
+    pub fn on_function(&mut self, call: &FunctionCall<'_>) {
         if !self.enabled {
             return;
         }
         use AttachPoint::{Entry, Exit};
         let (time, pid) = (call.time, call.pid);
-        let payload = match (&call.args, call.point) {
+        let payload = match (call.args, call.point) {
             (FunctionArgs::ExecuteTimer, Entry) => {
                 self.overhead.charge(Probe::P2, 3);
                 Some(RosPayload::CallbackStart { kind: CallbackKind::Timer })
@@ -155,7 +156,7 @@ impl Ros2RtTracer {
             }
             (FunctionArgs::RclTimerCall { timer }, Entry) => {
                 self.overhead.charge(Probe::P3, 4);
-                Some(RosPayload::TimerCall { callback: *timer })
+                Some(RosPayload::TimerCall { callback: timer })
             }
             (FunctionArgs::ExecuteSubscription, Entry) => {
                 self.overhead.charge(Probe::P5, 3);
@@ -186,35 +187,35 @@ impl Ros2RtTracer {
                 Some(RosPayload::SyncSubscribe)
             }
             (FunctionArgs::RmwTakeInt { src_ts, .. }, Entry) => {
-                self.take_entry(Probe::P6, pid, src_ts);
+                self.take_entry(Probe::P6, pid, &src_ts);
                 None
             }
             (FunctionArgs::RmwTakeInt { subscription, topic, src_ts }, Exit) => self
-                .take_exit(Probe::P6, pid, src_ts)
+                .take_exit(Probe::P6, pid, &src_ts)
                 .map(|ts| RosPayload::TakeData {
-                    callback: *subscription,
+                    callback: subscription,
                     topic: topic.clone(),
                     src_ts: ts,
                 }),
             (FunctionArgs::RmwTakeRequest { src_ts, .. }, Entry) => {
-                self.take_entry(Probe::P10, pid, src_ts);
+                self.take_entry(Probe::P10, pid, &src_ts);
                 None
             }
             (FunctionArgs::RmwTakeRequest { service, topic, src_ts }, Exit) => self
-                .take_exit(Probe::P10, pid, src_ts)
+                .take_exit(Probe::P10, pid, &src_ts)
                 .map(|ts| RosPayload::TakeRequest {
-                    callback: *service,
+                    callback: service,
                     topic: topic.clone(),
                     src_ts: ts,
                 }),
             (FunctionArgs::RmwTakeResponse { src_ts, .. }, Entry) => {
-                self.take_entry(Probe::P13, pid, src_ts);
+                self.take_entry(Probe::P13, pid, &src_ts);
                 None
             }
             (FunctionArgs::RmwTakeResponse { client, topic, src_ts }, Exit) => self
-                .take_exit(Probe::P13, pid, src_ts)
+                .take_exit(Probe::P13, pid, &src_ts)
                 .map(|ts| RosPayload::TakeResponse {
-                    callback: *client,
+                    callback: client,
                     topic: topic.clone(),
                     src_ts: ts,
                 }),
@@ -225,7 +226,7 @@ impl Ros2RtTracer {
             (FunctionArgs::TakeTypeErasedResponse { .. }, Entry) => None,
             (FunctionArgs::DdsWriteImpl { topic, src_ts }, Entry) => {
                 self.overhead.charge(Probe::P16, 4);
-                Some(RosPayload::DdsWrite { topic: topic.clone(), src_ts: *src_ts })
+                Some(RosPayload::DdsWrite { topic: topic.clone(), src_ts })
             }
             (FunctionArgs::DdsWriteImpl { .. }, Exit) => None,
             (FunctionArgs::RmwCreateNode { .. }, _) => None, // P1 belongs to TR_IN
@@ -327,7 +328,7 @@ mod tests {
             pid,
             FunctionArgs::RmwTakeInt {
                 subscription: cb,
-                topic: topic.clone(),
+                topic: &topic,
                 src_ts: SrcTsRef::pending(0x1000),
             },
         ));
@@ -338,7 +339,7 @@ mod tests {
             pid,
             FunctionArgs::RmwTakeInt {
                 subscription: cb,
-                topic: topic.clone(),
+                topic: &topic,
                 src_ts: SrcTsRef::resolved(0x1000, SourceTimestamp::new(777)),
             },
         ));
@@ -363,7 +364,7 @@ mod tests {
             pid,
             FunctionArgs::RmwTakeInt {
                 subscription: CallbackId::new(1),
-                topic: Topic::plain("/t"),
+                topic: &Topic::plain("/t"),
                 src_ts: SrcTsRef::pending(0x1000),
             },
         ));
@@ -372,7 +373,7 @@ mod tests {
             pid,
             FunctionArgs::RmwTakeInt {
                 subscription: CallbackId::new(1),
-                topic: Topic::plain("/t"),
+                topic: &Topic::plain("/t"),
                 src_ts: SrcTsRef::resolved(0x2000, SourceTimestamp::new(1)),
             },
         ));
@@ -400,7 +401,7 @@ mod tests {
             Nanos::ZERO,
             Pid::new(5),
             FunctionArgs::DdsWriteImpl {
-                topic: Topic::plain("/out"),
+                topic: &Topic::plain("/out"),
                 src_ts: SourceTimestamp::new(9),
             },
         ));
@@ -434,13 +435,14 @@ mod tests {
     fn independent_takes_per_thread() {
         // Two threads mid-take simultaneously must not clobber each other.
         let mut t = tracer();
+        let topic = Topic::plain("/t");
         let mk_entry = |pid: u32, addr: u64| {
             FunctionCall::entry(
                 Nanos::ZERO,
                 Pid::new(pid),
                 FunctionArgs::RmwTakeInt {
                     subscription: CallbackId::new(u64::from(pid)),
-                    topic: Topic::plain("/t"),
+                    topic: &topic,
                     src_ts: SrcTsRef::pending(addr),
                 },
             )
@@ -451,7 +453,7 @@ mod tests {
                 Pid::new(pid),
                 FunctionArgs::RmwTakeInt {
                     subscription: CallbackId::new(u64::from(pid)),
-                    topic: Topic::plain("/t"),
+                    topic: &topic,
                     src_ts: SrcTsRef::resolved(addr, SourceTimestamp::new(ts)),
                 },
             )

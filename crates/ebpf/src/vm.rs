@@ -726,7 +726,7 @@ mod tests {
                 Pid::new(42),
                 FunctionArgs::RmwTakeInt {
                     subscription: CallbackId::new(0xcb),
-                    topic: Topic::plain("/t"),
+                    topic: &Topic::plain("/t"),
                     src_ts: SrcTsRef::pending(entry_addr),
                 },
             ));
@@ -735,7 +735,7 @@ mod tests {
                 Pid::new(42),
                 FunctionArgs::RmwTakeInt {
                     subscription: CallbackId::new(0xcb),
-                    topic: Topic::plain("/t"),
+                    topic: &Topic::plain("/t"),
                     src_ts: SrcTsRef::resolved(exit_addr, SourceTimestamp::new(9)),
                 },
             ));

@@ -81,7 +81,7 @@ proptest! {
                         Pid::new(pid),
                         FunctionArgs::RmwTakeInt {
                             subscription: CallbackId::new(u64::from(pid)),
-                            topic: Topic::plain("/t"),
+                            topic: &Topic::plain("/t"),
                             src_ts: SrcTsRef::pending(addr),
                         },
                     ));
@@ -93,7 +93,7 @@ proptest! {
                         Pid::new(pid),
                         FunctionArgs::RmwTakeInt {
                             subscription: CallbackId::new(u64::from(pid)),
-                            topic: Topic::plain("/t"),
+                            topic: &Topic::plain("/t"),
                             src_ts: SrcTsRef::resolved(a, SourceTimestamp::new(a)),
                         },
                     ));

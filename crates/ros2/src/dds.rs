@@ -68,11 +68,10 @@ impl QosSpec {
     }
 }
 
-/// A sample sitting in (or delivered from) a reader queue.
-#[derive(Debug, Clone, PartialEq, Eq)]
+/// A sample sitting in (or delivered from) a reader queue. It carries no
+/// topic: a reader subscribes to exactly one, which its owner knows.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Sample {
-    /// The topic the sample was written to.
-    pub topic: Topic,
     /// The source timestamp stamped at write time.
     pub src_ts: SourceTimestamp,
     /// When the sample becomes visible to the reader.
@@ -102,11 +101,28 @@ struct QueuedSample {
     sample: Sample,
 }
 
+/// A resolved publish route: the readers of one topic. Resolve it once
+/// with [`DdsDomain::route`] and write through
+/// [`DdsDomain::write_route_into`], so a publish never hashes a topic.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+pub struct RouteId(u32);
+
+#[derive(Debug)]
+struct Route {
+    /// Reader ids of the topic, in registration (= id) order, so the
+    /// per-reader RNG draws (drop, jitter, reorder) happen in the order a
+    /// full scan of the domain's readers would make them.
+    readers: Vec<u32>,
+    /// Whether the topic is plain pub/sub (QoS applies) rather than
+    /// service traffic.
+    plain: bool,
+}
+
 #[derive(Debug)]
 struct Reader {
     pid: Pid,
     // The subscribed topic is not stored here: routing goes through
-    // `DdsDomain::topic_readers`, which holds it as the key.
+    // `DdsDomain::routes`, which lists the reader under it.
     queue: VecDeque<QueuedSample>,
     /// Index of this reader's pid in [`DdsDomain::ready`].
     slot: usize,
@@ -144,11 +160,10 @@ pub struct DdsDomain {
     /// work instead of scanning every callback.
     ready: Vec<Vec<u32>>,
     pid_slots: FxHashMap<Pid, usize>,
-    /// Reader ids per topic, in registration (= id) order. `write_lossy_into`
-    /// walks only a topic's own readers instead of scanning the whole
-    /// domain per publish; registration order keeps the per-reader RNG
-    /// draws (drop, jitter, reorder) in exactly the full-scan sequence.
-    topic_readers: FxHashMap<Topic, Vec<u32>>,
+    /// One route per topic ever subscribed or resolved; a write walks only
+    /// its topic's own readers instead of scanning the whole domain.
+    routes: Vec<Route>,
+    route_ids: FxHashMap<Topic, RouteId>,
 }
 
 impl DdsDomain {
@@ -169,7 +184,8 @@ impl DdsDomain {
             next_src_ts: 1,
             ready: Vec::new(),
             pid_slots: FxHashMap::default(),
-            topic_readers: FxHashMap::default(),
+            routes: Vec::new(),
+            route_ids: FxHashMap::default(),
         }
     }
 
@@ -191,9 +207,24 @@ impl DdsDomain {
             self.ready.push(Vec::new());
         }
         let id = self.readers.len() as u32;
-        self.topic_readers.entry(topic).or_default().push(id);
+        let route = self.route(&topic);
+        self.routes[route.0 as usize].readers.push(id);
         self.readers.push(Reader { pid, queue: VecDeque::new(), slot });
         ReaderId(id as usize)
+    }
+
+    /// The publish route of `topic`. Routes are stable: a reader created
+    /// later joins the route already handed out, so a publisher may
+    /// resolve its topics once, before every subscriber exists.
+    pub fn route(&mut self, topic: &Topic) -> RouteId {
+        if let Some(&id) = self.route_ids.get(topic) {
+            return id;
+        }
+        let id = RouteId(self.routes.len() as u32);
+        let plain = !topic.is_service_request() && !topic.is_service_response();
+        self.routes.push(Route { readers: Vec::new(), plain });
+        self.route_ids.insert(topic.clone(), id);
+        id
     }
 
     /// Writes a sample to `topic` at time `now`.
@@ -222,18 +253,20 @@ impl DdsDomain {
         extra_drop: f64,
     ) -> (SourceTimestamp, Vec<(Pid, Nanos)>) {
         let mut wakes = Vec::new();
-        let src_ts = self.write_lossy_into(now, &topic, rpc_target, extra_drop, &mut wakes);
+        let route = self.route(&topic);
+        let src_ts = self.write_route_into(now, route, rpc_target, extra_drop, &mut wakes);
         (src_ts, wakes)
     }
 
-    /// The allocation-free core of [`DdsDomain::write_lossy`]: appends the
-    /// `(reader thread, arrival time)` wakeups onto `wakes` instead of
-    /// returning a fresh vector, so the per-publish hot path of the
-    /// executors can reuse one scratch buffer across every instance.
-    pub fn write_lossy_into(
+    /// The allocation-free core of [`DdsDomain::write_lossy`], addressed
+    /// by a resolved [`RouteId`]: appends the `(reader thread, arrival
+    /// time)` wakeups onto `wakes` instead of returning a fresh vector, so
+    /// the per-publish hot path of the executors neither allocates nor
+    /// hashes the topic.
+    pub fn write_route_into(
         &mut self,
         now: Nanos,
-        topic: &Topic,
+        route: RouteId,
         rpc_target: Option<(Pid, CallbackId)>,
         extra_drop: f64,
         wakes: &mut Vec<(Pid, Nanos)>,
@@ -243,12 +276,12 @@ impl DdsDomain {
         self.next_src_ts += 1;
         let base_arrival = now + self.latency;
         // QoS degrades plain topics only; service traffic stays reliable.
-        let plain = !topic.is_service_request() && !topic.is_service_response();
+        let Route { readers, plain } = &self.routes[route.0 as usize];
+        let plain = *plain;
         let best_effort = plain && self.qos.reorder_bound >= 1;
-        let Some(ids) = self.topic_readers.get(topic) else {
-            return src_ts; // no subscribers: the write still stamps a ts
-        };
-        for &ri in ids {
+        // A topic without subscribers has an empty route: the write still
+        // stamps a ts.
+        for &ri in readers {
             let ri = ri as usize;
             let reader = &mut self.readers[ri];
             let mut drop_prob = extra_drop;
@@ -275,13 +308,7 @@ impl DdsDomain {
             while at > 0 && q[at - 1].rank > rank {
                 at -= 1;
             }
-            q.insert(
-                at,
-                QueuedSample {
-                    rank,
-                    sample: Sample { topic: topic.clone(), src_ts, arrival, rpc_target },
-                },
-            );
+            q.insert(at, QueuedSample { rank, sample: Sample { src_ts, arrival, rpc_target } });
             if was_empty {
                 let list = &mut self.ready[reader.slot];
                 let pos = list.binary_search(&(ri as u32)).unwrap_err();

@@ -20,7 +20,7 @@
 //! The executor reports every traced middleware function to the attached
 //! tracers at the exact simulated instants the real functions would run.
 
-use crate::dds::ReaderId;
+use crate::dds::{ReaderId, RouteId};
 use crate::fault::CbFaults;
 use crate::ground_truth::InstanceRecord;
 use crate::work::WorkModel;
@@ -60,26 +60,36 @@ pub(crate) enum CbDetail {
     },
     Service {
         reader: ReaderId,
-        response_topic: Topic,
+        request_topic: Topic,
+        response: Publication,
     },
     Client {
         reader: ReaderId,
+        /// The service response topic the reader subscribes to.
+        topic: Topic,
     },
+}
+
+/// A topic this node writes, with its DDS route resolved at build time.
+#[derive(Debug, Clone)]
+pub(crate) struct Publication {
+    pub(crate) topic: Topic,
+    pub(crate) route: RouteId,
 }
 
 /// An output action with topics resolved.
 #[derive(Debug, Clone)]
 pub(crate) enum ResolvedOutput {
-    Publish(Topic),
+    Publish(Publication),
     /// Send a request: the response will be dispatched to `client_cb` of
     /// this node.
-    CallService { client_cb: CallbackId, request_topic: Topic },
+    CallService { client_cb: CallbackId, request: Publication },
 }
 
 #[derive(Debug)]
 pub(crate) struct SyncRuntime {
     pub(crate) filled: Vec<bool>,
-    pub(crate) outputs: Vec<Topic>,
+    pub(crate) outputs: Vec<Publication>,
 }
 
 /// The per-node state shared by all of the node's executor workers.
@@ -182,7 +192,7 @@ impl NodeExecutor {
                 CbDetail::Timer { next_fire, .. } => self.timers.push(Reverse((*next_fire, i))),
                 CbDetail::Subscriber { reader, .. }
                 | CbDetail::Service { reader, .. }
-                | CbDetail::Client { reader } => self.reader_cb.push((reader.index(), i)),
+                | CbDetail::Client { reader, .. } => self.reader_cb.push((reader.index(), i)),
             }
         }
         self.reader_cb.sort_unstable();
@@ -214,8 +224,8 @@ impl NodeExecutor {
                 g.filled.iter().all(|&f| f)
             };
             if fire {
-                for topic in &core.syncs[group].outputs {
-                    self.world.borrow_mut().dds_write_into(now, pid, topic, None, 0.0, &mut wakes);
+                for output in &core.syncs[group].outputs {
+                    self.world.borrow_mut().dds_write_into(now, pid, output, None, 0.0, &mut wakes);
                 }
                 let g = &mut core.syncs[group];
                 g.filled.iter_mut().for_each(|f| *f = false);
@@ -229,24 +239,24 @@ impl NodeExecutor {
         let extra_drop = core.cbs[cur.cb].faults.drop_prob(now);
         for out in &core.cbs[cur.cb].outputs {
             match out {
-                ResolvedOutput::Publish(topic) => {
+                ResolvedOutput::Publish(output) => {
                     if muted {
                         continue;
                     }
                     self.world.borrow_mut().dds_write_into(
                         now,
                         pid,
-                        topic,
+                        output,
                         None,
                         extra_drop,
                         &mut wakes,
                     );
                 }
-                ResolvedOutput::CallService { client_cb, request_topic } => {
+                ResolvedOutput::CallService { client_cb, request } => {
                     self.world.borrow_mut().dds_write_into(
                         now,
                         pid,
-                        request_topic,
+                        request,
                         Some((pid, *client_cb)),
                         0.0,
                         &mut wakes,
@@ -256,11 +266,11 @@ impl NodeExecutor {
         }
 
         // A service responds to its caller.
-        if let CbDetail::Service { response_topic, .. } = &core.cbs[cur.cb].detail {
+        if let CbDetail::Service { response, .. } = &core.cbs[cur.cb].detail {
             self.world.borrow_mut().dds_write_into(
                 now,
                 pid,
-                response_topic,
+                response,
                 cur.requester,
                 0.0,
                 &mut wakes,
@@ -315,13 +325,12 @@ impl NodeExecutor {
     fn begin_subscriber(&mut self, ctx: &mut SimCtx<'_>, core: &mut ExecCore, idx: usize) -> Op {
         let now = ctx.now();
         let pid = ctx.self_pid();
-        let id = core.cbs[idx].id;
-        let (reader, topic, is_sync) = match &core.cbs[idx].detail {
-            CbDetail::Subscriber { reader, topic, sync } => {
-                (*reader, topic.clone(), sync.is_some())
-            }
-            _ => unreachable!("begin_subscriber on non-subscriber"),
+        let cb = &core.cbs[idx];
+        let id = cb.id;
+        let CbDetail::Subscriber { reader, topic, sync } = &cb.detail else {
+            unreachable!("begin_subscriber on non-subscriber")
         };
+        let (reader, is_sync) = (*reader, sync.is_some());
         let work = {
             let mut w = self.world.borrow_mut();
             let sample = w.dds.pop_due(reader, now).expect("checked due");
@@ -332,7 +341,7 @@ impl NodeExecutor {
                 pid,
                 FunctionArgs::RmwTakeInt {
                     subscription: id,
-                    topic: topic.clone(),
+                    topic,
                     src_ts: SrcTsRef::pending(addr),
                 },
             ));
@@ -348,7 +357,7 @@ impl NodeExecutor {
             if is_sync {
                 w.call(FunctionCall::entry(now, pid, FunctionArgs::MessageFilterOp));
             }
-            core.cbs[idx].faults.apply_slowdown(now, core.cbs[idx].work.sample(&mut w.rng))
+            cb.faults.apply_slowdown(now, cb.work.sample(&mut w.rng))
         };
         self.current = Some(Current { cb: idx, start: now, issued: work, requester: None });
         Op::Compute(work)
@@ -357,14 +366,14 @@ impl NodeExecutor {
     fn begin_service(&mut self, ctx: &mut SimCtx<'_>, core: &mut ExecCore, idx: usize) -> Op {
         let now = ctx.now();
         let pid = ctx.self_pid();
-        let id = core.cbs[idx].id;
-        let reader = match &core.cbs[idx].detail {
-            CbDetail::Service { reader, .. } => *reader,
-            _ => unreachable!("begin_service on non-service"),
+        let cb = &core.cbs[idx];
+        let id = cb.id;
+        let CbDetail::Service { reader, request_topic: topic, .. } = &cb.detail else {
+            unreachable!("begin_service on non-service")
         };
         let (work, requester) = {
             let mut w = self.world.borrow_mut();
-            let sample = w.dds.pop_due(reader, now).expect("checked due");
+            let sample = w.dds.pop_due(*reader, now).expect("checked due");
             w.call(FunctionCall::entry(now, pid, FunctionArgs::ExecuteService));
             let addr = w.fresh_addr();
             w.call(FunctionCall::entry(
@@ -372,7 +381,7 @@ impl NodeExecutor {
                 pid,
                 FunctionArgs::RmwTakeRequest {
                     service: id,
-                    topic: sample.topic.clone(),
+                    topic,
                     src_ts: SrcTsRef::pending(addr),
                 },
             ));
@@ -381,14 +390,11 @@ impl NodeExecutor {
                 pid,
                 FunctionArgs::RmwTakeRequest {
                     service: id,
-                    topic: sample.topic.clone(),
+                    topic,
                     src_ts: SrcTsRef::resolved(addr, sample.src_ts),
                 },
             ));
-            (
-                core.cbs[idx].faults.apply_slowdown(now, core.cbs[idx].work.sample(&mut w.rng)),
-                sample.rpc_target,
-            )
+            (cb.faults.apply_slowdown(now, cb.work.sample(&mut w.rng)), sample.rpc_target)
         };
         self.current = Some(Current { cb: idx, start: now, issued: work, requester });
         Op::Compute(work)
@@ -407,14 +413,14 @@ impl NodeExecutor {
     ) -> Option<Op> {
         let now = ctx.now();
         let pid = ctx.self_pid();
-        let id = core.cbs[idx].id;
-        let reader = match &core.cbs[idx].detail {
-            CbDetail::Client { reader } => *reader,
-            _ => unreachable!("begin_client on non-client"),
+        let cb = &core.cbs[idx];
+        let id = cb.id;
+        let CbDetail::Client { reader, topic } = &cb.detail else {
+            unreachable!("begin_client on non-client")
         };
         let (work, dispatch) = {
             let mut w = self.world.borrow_mut();
-            let sample = w.dds.pop_due(reader, now).expect("checked due");
+            let sample = w.dds.pop_due(*reader, now).expect("checked due");
             // Callback ids are globally unique, so matching the id alone
             // is exact — and unlike a pid comparison it stays correct on a
             // multi-threaded executor, where the response may be claimed
@@ -427,7 +433,7 @@ impl NodeExecutor {
                 pid,
                 FunctionArgs::RmwTakeResponse {
                     client: id,
-                    topic: sample.topic.clone(),
+                    topic,
                     src_ts: SrcTsRef::pending(addr),
                 },
             ));
@@ -436,7 +442,7 @@ impl NodeExecutor {
                 pid,
                 FunctionArgs::RmwTakeResponse {
                     client: id,
-                    topic: sample.topic.clone(),
+                    topic,
                     src_ts: SrcTsRef::resolved(addr, sample.src_ts),
                 },
             ));
@@ -449,10 +455,7 @@ impl NodeExecutor {
                 // Not our response: execute_client returns immediately.
                 w.call(FunctionCall::exit(now, pid, FunctionArgs::ExecuteClient));
             }
-            (
-                core.cbs[idx].faults.apply_slowdown(now, core.cbs[idx].work.sample(&mut w.rng)),
-                dispatch,
-            )
+            (cb.faults.apply_slowdown(now, cb.work.sample(&mut w.rng)), dispatch)
         };
         if dispatch {
             self.current = Some(Current { cb: idx, start: now, issued: work, requester: None });
@@ -599,7 +602,7 @@ impl NodeExecutor {
                     match &core.cbs[idx].detail {
                         CbDetail::Subscriber { reader, .. }
                         | CbDetail::Service { reader, .. }
-                        | CbDetail::Client { reader } => w.dds.has_due(*reader, now),
+                        | CbDetail::Client { reader, .. } => w.dds.has_due(*reader, now),
                         CbDetail::Timer { .. } => false,
                     }
                 };

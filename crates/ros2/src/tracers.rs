@@ -70,7 +70,7 @@ impl TracerSet {
     }
 
     /// Reports a middleware function call to the INIT and RT tracers.
-    pub fn on_function(&mut self, call: &FunctionCall) {
+    pub fn on_function(&mut self, call: &FunctionCall<'_>) {
         self.init.on_function(call);
         self.rt.on_function(call);
     }
@@ -101,7 +101,7 @@ mod tests {
         set.on_function(&FunctionCall::entry(
             Nanos::ZERO,
             Pid::new(9),
-            FunctionArgs::RmwCreateNode { node_name: "x".into() },
+            FunctionArgs::RmwCreateNode { node_name: "x" },
         ));
         assert!(set.pid_filter().contains(&Pid::new(9)));
     }

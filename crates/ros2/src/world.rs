@@ -2,7 +2,9 @@
 
 use crate::app::{AppSpec, CallbackSpec, GroupKind, OutputAction};
 use crate::dds::{DdsDomain, QosSpec};
-use crate::executor::{CbDetail, CbRuntime, ExecCore, NodeExecutor, ResolvedOutput, SyncRuntime};
+use crate::executor::{
+    CbDetail, CbRuntime, ExecCore, NodeExecutor, Publication, ResolvedOutput, SyncRuntime,
+};
 use crate::fault::{CbFaults, FaultKind, FaultPlan};
 use crate::ground_truth::{CallbackInfo, GroundTruth};
 use crate::tracers::TracerSet;
@@ -110,7 +112,7 @@ pub(crate) struct WorldState {
 
 impl WorldState {
     /// Reports a traced middleware function call.
-    pub(crate) fn call(&mut self, call: FunctionCall) {
+    pub(crate) fn call(&mut self, call: FunctionCall<'_>) {
         self.tracers.on_function(&call);
     }
 
@@ -118,6 +120,12 @@ impl WorldState {
     pub(crate) fn fresh_addr(&mut self) -> u64 {
         self.addr_ctr += 0x10;
         0x7fff_0000_0000 + self.addr_ctr
+    }
+
+    /// Resolves the DDS route of `topic` once, for every later write.
+    fn publication(&mut self, topic: Topic) -> Publication {
+        let route = self.dds.route(&topic);
+        Publication { topic, route }
     }
 
     /// Writes a sample (emitting the P16 probe), appending the wakeups the
@@ -135,17 +143,17 @@ impl WorldState {
         &mut self,
         now: Nanos,
         pid: Pid,
-        topic: &Topic,
+        output: &Publication,
         rpc_target: Option<(Pid, CallbackId)>,
         extra_drop: f64,
         out: &mut Vec<(Pid, Nanos)>,
     ) {
         let start = out.len();
-        let src_ts = self.dds.write_lossy_into(now, topic, rpc_target, extra_drop, out);
+        let src_ts = self.dds.write_route_into(now, output.route, rpc_target, extra_drop, out);
         self.tracers.on_function(&FunctionCall::entry(
             now,
             pid,
-            FunctionArgs::DdsWriteImpl { topic: topic.clone(), src_ts },
+            FunctionArgs::DdsWriteImpl { topic: &output.topic, src_ts },
         ));
         if self.wake_fanout.is_empty() {
             return;
@@ -447,21 +455,20 @@ impl WorldBuilder {
                                 )
                             }
                             CallbackSpec::Service { service, work, .. } => {
-                                let reader =
-                                    w.dds.create_reader(pid, Topic::service_request(service.as_str()));
+                                let request_topic = Topic::service_request(service.as_str());
+                                let reader = w.dds.create_reader(pid, request_topic.clone());
+                                let response =
+                                    w.publication(Topic::service_response(service.as_str()));
                                 (
                                     CallbackKind::Service,
-                                    CbDetail::Service {
-                                        reader,
-                                        response_topic: Topic::service_response(service.as_str()),
-                                    },
+                                    CbDetail::Service { reader, request_topic, response },
                                     *work,
                                 )
                             }
                             CallbackSpec::Client { service, work, .. } => {
-                                let reader =
-                                    w.dds.create_reader(pid, Topic::service_response(service.as_str()));
-                                (CallbackKind::Client, CbDetail::Client { reader }, *work)
+                                let topic = Topic::service_response(service.as_str());
+                                let reader = w.dds.create_reader(pid, topic.clone());
+                                (CallbackKind::Client, CbDetail::Client { reader, topic }, *work)
                             }
                         }
                     };
@@ -486,14 +493,15 @@ impl WorldBuilder {
                 }
 
                 // Second pass: outputs (client references now resolvable).
+                let mut w = world.borrow_mut();
                 for (idx, spec) in node.callbacks.iter().enumerate() {
                     let mut outputs = Vec::new();
                     for out in spec.outputs() {
                         match out {
                             OutputAction::Publish(topic) => {
-                                outputs.push(ResolvedOutput::Publish(Topic::plain(
-                                    topic.as_str(),
-                                )));
+                                outputs.push(ResolvedOutput::Publish(
+                                    w.publication(Topic::plain(topic.as_str())),
+                                ));
                             }
                             OutputAction::CallService { client } => {
                                 let ci = name_to_idx[client.as_str()];
@@ -503,7 +511,7 @@ impl WorldBuilder {
                                 };
                                 outputs.push(ResolvedOutput::CallService {
                                     client_cb: cbs[ci].id,
-                                    request_topic: Topic::service_request(service.as_str()),
+                                    request: w.publication(Topic::service_request(service.as_str())),
                                 });
                             }
                         }
@@ -527,10 +535,11 @@ impl WorldBuilder {
                         outputs: group
                             .outputs
                             .iter()
-                            .map(|t| Topic::plain(t.as_str()))
+                            .map(|t| w.publication(Topic::plain(t.as_str())))
                             .collect(),
                     });
                 }
+                drop(w);
 
                 // Pin every mutually-exclusive group (the implicit default
                 // included) to one worker rank: single ownership serializes
@@ -590,6 +599,9 @@ impl WorldBuilder {
         }
 
         let mut sim = sched.build();
+        // The kernel tracer is the world's scheduler-event consumer; an
+        // in-memory log as well would only grow with run length.
+        sim.set_recording(false);
         sim.add_sink(Box::new(KernelSink(Rc::clone(&world))));
         Ok(Ros2World { sim, world, node_pids, announced: false })
     }
@@ -626,7 +638,7 @@ impl Ros2World {
             let call = FunctionCall::entry(
                 now,
                 *pid,
-                FunctionArgs::RmwCreateNode { node_name: name.clone() },
+                FunctionArgs::RmwCreateNode { node_name: name },
             );
             w.tracers.init.on_function(&call);
         }
@@ -949,7 +961,14 @@ impl Ros2World {
     }
 
     /// Direct access to the underlying machine (advanced use: per-thread
-    /// CPU times, full scheduler event firehose, core utilization).
+    /// CPU times, core utilization, engine counters).
+    ///
+    /// A world does not keep the simulator's in-memory scheduler log, so
+    /// [`Simulator::sched_events`] is empty here. For the full scheduler
+    /// stream, build the world with
+    /// [`WorldBuilder::unfiltered_kernel_tracer`] and
+    /// [`WorldBuilder::record_wakeups`]: its kernel tracer then exports
+    /// every `sched_switch` and `sched_wakeup`.
     pub fn simulator(&self) -> &Simulator {
         &self.sim
     }
