@@ -86,6 +86,12 @@ impl Ros2InitTracer {
         self.enabled = false;
     }
 
+    /// Whether the tracer is currently exporting.
+    #[inline]
+    pub fn is_enabled(&self) -> bool {
+        self.enabled
+    }
+
     /// Observes a probed function call.
     pub fn on_function(&mut self, call: &FunctionCall<'_>) {
         if !self.enabled || call.point != AttachPoint::Entry {

@@ -132,6 +132,7 @@ impl Ros2RtTracer {
     }
 
     /// Whether the tracer is currently exporting.
+    #[inline]
     pub fn is_enabled(&self) -> bool {
         self.enabled
     }

@@ -69,10 +69,16 @@ impl TracerSet {
         self.init.pid_filter()
     }
 
-    /// Reports a middleware function call to the INIT and RT tracers.
+    /// Reports a middleware function call to the INIT and RT tracers. A
+    /// stopped tracer is not called at all, so an untraced run pays one
+    /// flag test per tracer and probe.
     pub fn on_function(&mut self, call: &FunctionCall<'_>) {
-        self.init.on_function(call);
-        self.rt.on_function(call);
+        if self.init.is_enabled() {
+            self.init.on_function(call);
+        }
+        if self.rt.is_enabled() {
+            self.rt.on_function(call);
+        }
     }
 }
 

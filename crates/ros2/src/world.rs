@@ -17,6 +17,7 @@ use rtms_trace::{
     SegmentWriter, Topic, Trace, TraceSegment,
 };
 use std::cell::RefCell;
+use rtms_util::FxHashMap;
 use std::collections::HashMap;
 use std::fmt;
 use std::rc::Rc;
@@ -104,7 +105,7 @@ pub(crate) struct WorldState {
     addr_ctr: u64,
     /// For multi-threaded nodes: primary (reader-owning) pid → all worker
     /// pids, rank order. Absent for single-threaded nodes.
-    wake_fanout: HashMap<Pid, Vec<Pid>>,
+    wake_fanout: FxHashMap<Pid, Vec<Pid>>,
     /// Scratch buffer for expanding reader wakeups through `wake_fanout`,
     /// reused across publishes so the fanout path stays allocation-free.
     fan_scratch: Vec<(Pid, Nanos)>,
@@ -416,7 +417,7 @@ impl WorldBuilder {
             ground_truth: GroundTruth::new(),
             rng: StdRng::seed_from_u64(self.seed),
             addr_ctr: 0,
-            wake_fanout: HashMap::new(),
+            wake_fanout: FxHashMap::default(),
             fan_scratch: Vec::new(),
         }));
 

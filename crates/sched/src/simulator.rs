@@ -163,10 +163,19 @@ enum Engine {
     Reference,
 }
 
+/// Low bits of an event key below the seq: the index of the slot the
+/// event sits in (at most 2 * 64 slots).
+const SLOT_BITS: u32 = 7;
+
 /// The `(time, seq)` order key of a pending event packed into one
-/// integer, so slots and the heap top compare with a single `<`.
-fn event_key(time: Nanos, seq: u64) -> u128 {
-    (u128::from(time.as_nanos()) << 64) | u128::from(seq)
+/// integer, so slots and the heap top compare with a single `<`. The key
+/// also carries `slot`, the index of the slot holding the event (0 for a
+/// heap event): seqs are unique, so those low bits never decide an order,
+/// and the minimum over the slots names its own slot without a
+/// branch-per-slot argmin.
+fn event_key(time: Nanos, seq: u64, slot: usize) -> u128 {
+    debug_assert!(seq < 1 << (64 - SLOT_BITS), "event seq overflows its key bits");
+    (u128::from(time.as_nanos()) << 64) | u128::from(seq) << SLOT_BITS | slot as u128
 }
 
 /// The key of an unarmed slot: it sorts after every armed event.
@@ -572,13 +581,9 @@ impl Simulator {
             // and the 2 * cpus per-CPU slots. Slot seqs come from the same
             // counter as heap seqs, so this is exactly the pop order of the
             // reference engine's single heap, minus its stale entries.
-            let (slot, slot_key) = self
-                .slots
-                .iter()
-                .enumerate()
-                .fold((0, EMPTY_SLOT), |best, (i, &k)| if k < best.1 { (i, k) } else { best });
+            let slot_key = self.slots.iter().copied().min().unwrap_or(EMPTY_SLOT);
             let heap_key =
-                self.queue.peek().map_or(EMPTY_SLOT, |&Reverse(ev)| event_key(ev.time, ev.seq));
+                self.queue.peek().map_or(EMPTY_SLOT, |&Reverse(ev)| event_key(ev.time, ev.seq, 0));
             let key = slot_key.min(heap_key);
             if key == EMPTY_SLOT {
                 break;
@@ -591,6 +596,7 @@ impl Simulator {
             self.now = time;
             self.stats.events += 1;
             if slot_key < heap_key {
+                let slot = (slot_key & ((1 << SLOT_BITS) - 1)) as usize;
                 self.slots[slot] = EMPTY_SLOT;
                 let cpu = slot / 2;
                 let pid = self.running[cpu].expect("an armed slot's CPU is occupied");
@@ -811,7 +817,8 @@ impl Simulator {
         }
         let seq = self.next_seq();
         self.stats.slice_arms += 1;
-        self.slots[2 * cpu.index() + SLICE] = event_key(self.now + self.timeslice, seq);
+        let slot = 2 * cpu.index() + SLICE;
+        self.slots[slot] = event_key(self.now + self.timeslice, seq, slot);
     }
 
     /// Arms the completion of `pid`'s current `Compute` op at `at`.
@@ -824,7 +831,8 @@ impl Simulator {
         match self.engine {
             Engine::Indexed => {
                 let seq = self.next_seq();
-                self.slots[2 * cpu.index() + COMPLETION] = event_key(at, seq);
+                let slot = 2 * cpu.index() + COMPLETION;
+                self.slots[slot] = event_key(at, seq, slot);
             }
             Engine::Reference => self.push_event(at, EvKind::OpComplete { pid, gen }),
         }

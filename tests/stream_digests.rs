@@ -10,14 +10,17 @@
 //! lossy QoS, an injected fault plan, and the benchmark's `live` mix of
 //! six co-deployed apps on four CPUs.
 //!
+//! The same worlds gate the scheduler engine's own work: none of them may
+//! pop a stale event.
+//!
 //! A changed digest means the simulator, the executors, the DDS router or
 //! the probes now emit a different stream. Every corpus digest and every
 //! trained model rests on that stream, so a change here is only ever
 //! intentional: regenerate the table from the failure message and say
 //! why in the change log.
 
-use ros2_tms::ros2::{QosSpec, WorldBuilder};
-use ros2_tms::trace::{Nanos, Trace};
+use ros2_tms::ros2::{QosSpec, Ros2World, WorldBuilder};
+use ros2_tms::trace::{Nanos, SchedEventKind, Trace};
 use ros2_tms::workloads::{
     generate_app, generate_fault_scenario, FaultScenarioConfig, GeneratorConfig,
 };
@@ -152,16 +155,17 @@ fn digest<T: Serialize>(events: &[T]) -> u64 {
     })
 }
 
-fn run(case: &Case) -> Trace {
+fn run(case: &Case) -> (Ros2World, Trace) {
     let mut world = (case.build)().build().expect("generated apps deploy");
-    world.trace_run(Nanos::from_millis(case.horizon_ms))
+    let trace = world.trace_run(Nanos::from_millis(case.horizon_ms));
+    (world, trace)
 }
 
 #[test]
 fn full_trace_streams_match_committed_digests() {
     let mut actual = Vec::new();
     for case in cases() {
-        let trace = run(&case);
+        let (_, trace) = run(&case);
         assert!(!trace.sched_events().is_empty(), "{}: empty sched stream", case.name);
         assert!(!trace.ros_events().is_empty(), "{}: empty ROS stream", case.name);
         actual.push((case.name, digest(trace.sched_events()), digest(trace.ros_events())));
@@ -175,12 +179,24 @@ fn full_trace_streams_match_committed_digests() {
 
 #[test]
 fn unfiltered_wakeup_worlds_export_the_whole_sched_stream() {
-    let case = &cases()[0];
-    let trace = run(case);
+    let (_, trace) = run(&cases()[0]);
     let wakeups = trace
         .sched_events()
         .iter()
-        .filter(|e| matches!(e.kind, ros2_tms::trace::SchedEventKind::Wakeup { .. }))
+        .filter(|e| matches!(e.kind, SchedEventKind::Wakeup { .. }))
         .count();
     assert!(wakeups > 0, "record_wakeups() must survive unfiltered_kernel_tracer()");
+}
+
+#[test]
+fn no_preset_world_pops_a_stale_event() {
+    // Completions and slice checks live in per-CPU slots that a
+    // deschedule clears, so preemption-heavy multi-threaded and bursty
+    // worlds must not pop anything stale either.
+    for case in cases() {
+        let (world, _) = run(&case);
+        let stats = world.simulator().stats();
+        assert!(stats.events > 0, "{}: the engine did no work", case.name);
+        assert_eq!(stats.stale_pops, 0, "{}: stale pops in {stats:?}", case.name);
+    }
 }
