@@ -156,12 +156,12 @@ proptest! {
             tracer.on_function(&FunctionCall::entry(
                 Nanos::from_nanos(i as u64),
                 Pid::new(1),
-                args.clone(),
+                args,
             ));
             tracer.on_function(&FunctionCall::exit(
                 Nanos::from_nanos(i as u64 + 1),
                 Pid::new(1),
-                args.clone(),
+                args,
             ));
         }
         let events = tracer.drain_segment();

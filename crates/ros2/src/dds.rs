@@ -109,13 +109,12 @@ pub struct RouteId(u32);
 
 #[derive(Debug)]
 struct Route {
+    /// The domain's one instance of the topic (see [`DdsDomain::topic`]).
+    topic: Topic,
     /// Reader ids of the topic, in registration (= id) order, so the
     /// per-reader RNG draws (drop, jitter, reorder) happen in the order a
     /// full scan of the domain's readers would make them.
     readers: Vec<u32>,
-    /// Whether the topic is plain pub/sub (QoS applies) rather than
-    /// service traffic.
-    plain: bool,
 }
 
 #[derive(Debug)]
@@ -221,10 +220,17 @@ impl DdsDomain {
             return id;
         }
         let id = RouteId(self.routes.len() as u32);
-        let plain = !topic.is_service_request() && !topic.is_service_response();
-        self.routes.push(Route { readers: Vec::new(), plain });
+        self.routes.push(Route { topic: topic.clone(), readers: Vec::new() });
         self.route_ids.insert(topic.clone(), id);
         id
+    }
+
+    /// The topic of `route`, as first resolved. A world resolves every
+    /// topic it writes or reads through the domain, so all of one topic's
+    /// writers, readers and probe records share this one name
+    /// allocation, as a recorded trace's topic dictionary does.
+    pub fn topic(&self, route: RouteId) -> &Topic {
+        &self.routes[route.0 as usize].topic
     }
 
     /// Writes a sample to `topic` at time `now`.
@@ -276,8 +282,8 @@ impl DdsDomain {
         self.next_src_ts += 1;
         let base_arrival = now + self.latency;
         // QoS degrades plain topics only; service traffic stays reliable.
-        let Route { readers, plain } = &self.routes[route.0 as usize];
-        let plain = *plain;
+        let Route { topic, readers } = &self.routes[route.0 as usize];
+        let plain = !topic.is_service_request() && !topic.is_service_response();
         let best_effort = plain && self.qos.reorder_bound >= 1;
         // A topic without subscribers has an empty route: the write still
         // stamps a ts.
@@ -429,6 +435,19 @@ mod tests {
         assert!(dds.pop_due(r1, t).is_some());
         assert!(dds.pop_due(r2, t).is_some());
         assert!(dds.pop_due(r3, t).is_none());
+    }
+
+    #[test]
+    fn route_resolved_before_its_readers_reaches_them() {
+        let mut dds = domain();
+        let route = dds.route(&Topic::plain("/t"));
+        let r = dds.create_reader(Pid::new(1), Topic::plain("/t"));
+        assert_eq!(dds.route(&Topic::plain("/t")), route);
+        assert_eq!(dds.topic(route), &Topic::plain("/t"));
+        let mut wakes = Vec::new();
+        dds.write_route_into(Nanos::ZERO, route, None, 0.0, &mut wakes);
+        assert_eq!(wakes, vec![(Pid::new(1), Nanos::from_micros(100))]);
+        assert_eq!(dds.queue_depth(r), 1);
     }
 
     #[test]

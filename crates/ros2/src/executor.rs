@@ -61,7 +61,7 @@ pub(crate) enum CbDetail {
     Service {
         reader: ReaderId,
         request_topic: Topic,
-        response: Publication,
+        response: RouteId,
     },
     Client {
         reader: ReaderId,
@@ -70,26 +70,19 @@ pub(crate) enum CbDetail {
     },
 }
 
-/// A topic this node writes, with its DDS route resolved at build time.
-#[derive(Debug, Clone)]
-pub(crate) struct Publication {
-    pub(crate) topic: Topic,
-    pub(crate) route: RouteId,
-}
-
-/// An output action with topics resolved.
+/// An output action with its topic resolved to a DDS route.
 #[derive(Debug, Clone)]
 pub(crate) enum ResolvedOutput {
-    Publish(Publication),
+    Publish(RouteId),
     /// Send a request: the response will be dispatched to `client_cb` of
     /// this node.
-    CallService { client_cb: CallbackId, request: Publication },
+    CallService { client_cb: CallbackId, request: RouteId },
 }
 
 #[derive(Debug)]
 pub(crate) struct SyncRuntime {
     pub(crate) filled: Vec<bool>,
-    pub(crate) outputs: Vec<Publication>,
+    pub(crate) outputs: Vec<RouteId>,
 }
 
 /// The per-node state shared by all of the node's executor workers.
@@ -224,7 +217,7 @@ impl NodeExecutor {
                 g.filled.iter().all(|&f| f)
             };
             if fire {
-                for output in &core.syncs[group].outputs {
+                for &output in &core.syncs[group].outputs {
                     self.world.borrow_mut().dds_write_into(now, pid, output, None, 0.0, &mut wakes);
                 }
                 let g = &mut core.syncs[group];
@@ -238,7 +231,7 @@ impl NodeExecutor {
         let muted = core.cbs[cur.cb].faults.muted(now);
         let extra_drop = core.cbs[cur.cb].faults.drop_prob(now);
         for out in &core.cbs[cur.cb].outputs {
-            match out {
+            match *out {
                 ResolvedOutput::Publish(output) => {
                     if muted {
                         continue;
@@ -257,7 +250,7 @@ impl NodeExecutor {
                         now,
                         pid,
                         request,
-                        Some((pid, *client_cb)),
+                        Some((pid, client_cb)),
                         0.0,
                         &mut wakes,
                     );
@@ -266,7 +259,7 @@ impl NodeExecutor {
         }
 
         // A service responds to its caller.
-        if let CbDetail::Service { response, .. } = &core.cbs[cur.cb].detail {
+        if let CbDetail::Service { response, .. } = core.cbs[cur.cb].detail {
             self.world.borrow_mut().dds_write_into(
                 now,
                 pid,

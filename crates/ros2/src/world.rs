@@ -1,10 +1,8 @@
 //! Assembling applications, machine, and tracers into a runnable world.
 
 use crate::app::{AppSpec, CallbackSpec, GroupKind, OutputAction};
-use crate::dds::{DdsDomain, QosSpec};
-use crate::executor::{
-    CbDetail, CbRuntime, ExecCore, NodeExecutor, Publication, ResolvedOutput, SyncRuntime,
-};
+use crate::dds::{DdsDomain, QosSpec, RouteId};
+use crate::executor::{CbDetail, CbRuntime, ExecCore, NodeExecutor, ResolvedOutput, SyncRuntime};
 use crate::fault::{CbFaults, FaultKind, FaultPlan};
 use crate::ground_truth::{CallbackInfo, GroundTruth};
 use crate::tracers::TracerSet;
@@ -16,8 +14,8 @@ use rtms_trace::{
     CallbackId, CallbackKind, CodecError, EventSink, Nanos, Pid, Priority, SchedEvent,
     SegmentWriter, Topic, Trace, TraceSegment,
 };
-use std::cell::RefCell;
 use rtms_util::FxHashMap;
+use std::cell::RefCell;
 use std::collections::HashMap;
 use std::fmt;
 use std::rc::Rc;
@@ -123,10 +121,11 @@ impl WorldState {
         0x7fff_0000_0000 + self.addr_ctr
     }
 
-    /// Resolves the DDS route of `topic` once, for every later write.
-    fn publication(&mut self, topic: Topic) -> Publication {
-        let route = self.dds.route(&topic);
-        Publication { topic, route }
+    /// The domain's shared instance of `topic` (see [`DdsDomain::topic`]),
+    /// for a reader or a take probe.
+    fn shared_topic(&mut self, topic: &Topic) -> Topic {
+        let route = self.dds.route(topic);
+        self.dds.topic(route).clone()
     }
 
     /// Writes a sample (emitting the P16 probe), appending the wakeups the
@@ -144,17 +143,17 @@ impl WorldState {
         &mut self,
         now: Nanos,
         pid: Pid,
-        output: &Publication,
+        route: RouteId,
         rpc_target: Option<(Pid, CallbackId)>,
         extra_drop: f64,
         out: &mut Vec<(Pid, Nanos)>,
     ) {
         let start = out.len();
-        let src_ts = self.dds.write_route_into(now, output.route, rpc_target, extra_drop, out);
+        let src_ts = self.dds.write_route_into(now, route, rpc_target, extra_drop, out);
         self.tracers.on_function(&FunctionCall::entry(
             now,
             pid,
-            FunctionArgs::DdsWriteImpl { topic: &output.topic, src_ts },
+            FunctionArgs::DdsWriteImpl { topic: self.dds.topic(route), src_ts },
         ));
         if self.wake_fanout.is_empty() {
             return;
@@ -447,7 +446,7 @@ impl WorldBuilder {
                                 *work,
                             ),
                             CallbackSpec::Subscriber { topic, work, .. } => {
-                                let t = Topic::plain(topic.as_str());
+                                let t = w.shared_topic(&Topic::plain(topic.as_str()));
                                 let reader = w.dds.create_reader(pid, t.clone());
                                 (
                                     CallbackKind::Subscriber,
@@ -456,10 +455,11 @@ impl WorldBuilder {
                                 )
                             }
                             CallbackSpec::Service { service, work, .. } => {
-                                let request_topic = Topic::service_request(service.as_str());
+                                let request_topic =
+                                    w.shared_topic(&Topic::service_request(service.as_str()));
                                 let reader = w.dds.create_reader(pid, request_topic.clone());
                                 let response =
-                                    w.publication(Topic::service_response(service.as_str()));
+                                    w.dds.route(&Topic::service_response(service.as_str()));
                                 (
                                     CallbackKind::Service,
                                     CbDetail::Service { reader, request_topic, response },
@@ -467,7 +467,8 @@ impl WorldBuilder {
                                 )
                             }
                             CallbackSpec::Client { service, work, .. } => {
-                                let topic = Topic::service_response(service.as_str());
+                                let topic =
+                                    w.shared_topic(&Topic::service_response(service.as_str()));
                                 let reader = w.dds.create_reader(pid, topic.clone());
                                 (CallbackKind::Client, CbDetail::Client { reader, topic }, *work)
                             }
@@ -501,7 +502,7 @@ impl WorldBuilder {
                         match out {
                             OutputAction::Publish(topic) => {
                                 outputs.push(ResolvedOutput::Publish(
-                                    w.publication(Topic::plain(topic.as_str())),
+                                    w.dds.route(&Topic::plain(topic.as_str())),
                                 ));
                             }
                             OutputAction::CallService { client } => {
@@ -510,9 +511,10 @@ impl WorldBuilder {
                                     CallbackSpec::Client { service, .. } => service.clone(),
                                     _ => unreachable!("validated as client"),
                                 };
+                                let request = Topic::service_request(service.as_str());
                                 outputs.push(ResolvedOutput::CallService {
                                     client_cb: cbs[ci].id,
-                                    request: w.publication(Topic::service_request(service.as_str())),
+                                    request: w.dds.route(&request),
                                 });
                             }
                         }
@@ -536,7 +538,7 @@ impl WorldBuilder {
                         outputs: group
                             .outputs
                             .iter()
-                            .map(|t| w.publication(Topic::plain(t.as_str())))
+                            .map(|t| w.dds.route(&Topic::plain(t.as_str())))
                             .collect(),
                     });
                 }
@@ -636,11 +638,8 @@ impl Ros2World {
         let mut w = self.world.borrow_mut();
         w.tracers.init.start();
         for (name, pid) in &self.node_pids {
-            let call = FunctionCall::entry(
-                now,
-                *pid,
-                FunctionArgs::RmwCreateNode { node_name: name },
-            );
+            let call =
+                FunctionCall::entry(now, *pid, FunctionArgs::RmwCreateNode { node_name: name });
             w.tracers.init.on_function(&call);
         }
         w.tracers.init.stop();
