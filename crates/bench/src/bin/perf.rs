@@ -59,9 +59,9 @@
 //!   [`REPS`]), the ceiling the collect column can approach.
 //! - `events`, `heap_pushes`, `switches` — totals for the run.
 //! - `stale_pop_ratio` — `stale_pops / events`, heap churn from
-//!   invalidated slice checks. **Gated in CI** (≤ 0.05): a regression
-//!   here means timer-slot invalidation stopped working and the heap is
-//!   filling with dead events again.
+//!   invalidated completions and slice checks. **Gated in CI** (== 0): a
+//!   regression here means per-CPU slot invalidation stopped working and
+//!   the heap is filling with dead events again.
 //! - `rebalance_skip_ratio` — share of scheduling passes the dirty gate
 //!   skipped; `slice_arms` / `slice_suppressed` account the slice-check
 //!   suppression the same way. Informational.
@@ -214,7 +214,7 @@ struct SimPerf {
     rebalance_runs: u64,
     rebalance_skipped: u64,
     switches: u64,
-    /// `stale_pops / events`; gated ≤ 0.05 in CI.
+    /// `stale_pops / events`; gated == 0 in CI.
     stale_pop_ratio: f64,
     /// `rebalance_skipped / (runs + skipped)` — the dirty gate's hit rate.
     rebalance_skip_ratio: f64,
