@@ -33,22 +33,6 @@ impl TracerSet {
         TracerSet { init, rt, kernel }
     }
 
-    /// Creates a tracer set that additionally records `sched_wakeup`
-    /// events (the Sec. VII waiting-time extension).
-    ///
-    /// # Panics
-    ///
-    /// Panics if any built-in program fails verification.
-    pub fn new_with_wakeups() -> Self {
-        let filter = map::pid_filter_map();
-        let init = Ros2InitTracer::new(filter.clone()).expect("P1 program verifies");
-        let rt = Ros2RtTracer::new().expect("P2-P16 programs verify");
-        let kernel = KernelTracer::new(Some(filter))
-            .expect("sched_switch program verifies")
-            .with_wakeups();
-        TracerSet { init, rt, kernel }
-    }
-
     /// Creates a tracer set whose kernel tracer exports *all* scheduler
     /// events (the unfiltered baseline of the Sec. III-B footprint
     /// experiment).

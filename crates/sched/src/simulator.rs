@@ -171,8 +171,8 @@ const SLOT_BITS: u32 = 7;
 /// integer, so slots and the heap top compare with a single `<`. The key
 /// also carries `slot`, the index of the slot holding the event (0 for a
 /// heap event): seqs are unique, so those low bits never decide an order,
-/// and the minimum over the slots names its own slot without a
-/// branch-per-slot argmin.
+/// and the minimum over the slots names its own slot, with no index kept
+/// alongside.
 fn event_key(time: Nanos, seq: u64, slot: usize) -> u128 {
     debug_assert!(seq < 1 << (64 - SLOT_BITS), "event seq overflows its key bits");
     (u128::from(time.as_nanos()) << 64) | u128::from(seq) << SLOT_BITS | slot as u128
@@ -1591,8 +1591,9 @@ mod tests {
     fn stats_track_engine_work() {
         // Two equal-priority 10 ms jobs on two cores: each arms slice
         // checks (it has an equal-priority peer), but while both run no
-        // contender is ready, so every check re-arms without a scheduling
-        // pass. A sleeper wakes once the jobs are done.
+        // contender is ready, so the checks re-arm without a scheduling
+        // pass. A third thread sleeps past the jobs: its one timed wakeup
+        // is the only heap push.
         let mut b = SimulatorBuilder::new(2);
         for i in 0..2 {
             b.spawn(

@@ -116,7 +116,10 @@ fn cases() -> Vec<Case> {
             build: || {
                 let scenario = generate_fault_scenario(
                     61,
-                    &FaultScenarioConfig::new(3, (Nanos::from_millis(300), Nanos::from_millis(2_000))),
+                    &FaultScenarioConfig::new(
+                        3,
+                        (Nanos::from_millis(300), Nanos::from_millis(2_000)),
+                    ),
                 );
                 WorldBuilder::new(2)
                     .seed(61)
@@ -134,10 +137,7 @@ fn cases() -> Vec<Case> {
             build: || {
                 let presets = ["standard", "multi-threaded", "bursty"];
                 (0..6u64).fold(
-                    WorldBuilder::new(4)
-                        .seed(71)
-                        .unfiltered_kernel_tracer()
-                        .record_wakeups(),
+                    WorldBuilder::new(4).seed(71).unfiltered_kernel_tracer().record_wakeups(),
                     |b, a| b.app(generate_app(71 + a, &preset(presets[a as usize % 3]))),
                 )
             },
@@ -150,8 +150,7 @@ fn cases() -> Vec<Case> {
 fn digest<T: Serialize>(events: &[T]) -> u64 {
     events.iter().fold(FNV1A_OFFSET, |hash, event| {
         let json = serde_json::to_string(event).expect("event serializes");
-        json.bytes()
-            .fold(hash, |h, b| (h ^ u64::from(b)).wrapping_mul(FNV1A_PRIME))
+        json.bytes().fold(hash, |h, b| (h ^ u64::from(b)).wrapping_mul(FNV1A_PRIME))
     })
 }
 
