@@ -1,12 +1,11 @@
 //! DAG synthesis from callback lists (Sec. IV, "DAG synthesis").
 
-use crate::cblist::CbList;
+use crate::cblist::{CallbackRecord, CbList};
 use crate::stats::ExecStats;
 use rtms_trace::{CallbackId, CallbackKind, Nanos, Pid};
-use rtms_util::FxHashMap;
 use serde::{Deserialize, Serialize};
 use std::borrow::Borrow;
-use std::collections::{BTreeMap, HashMap};
+use std::collections::HashMap;
 use std::fmt;
 use std::sync::Arc;
 
@@ -25,12 +24,18 @@ pub enum VertexKind {
     AndJunction,
 }
 
+impl VertexKind {
+    fn name(self) -> &'static str {
+        match self {
+            VertexKind::Callback(k) => k.name(),
+            VertexKind::AndJunction => "&",
+        }
+    }
+}
+
 impl fmt::Display for VertexKind {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            VertexKind::Callback(k) => write!(f, "{k}"),
-            VertexKind::AndJunction => write!(f, "&"),
-        }
+        f.write_str(self.name())
     }
 }
 
@@ -70,16 +75,74 @@ impl DagVertex {
     /// callbacks (timers), which is what distinguishes two timers of one
     /// node across runs.
     pub fn merge_key(&self) -> String {
-        let detail = match (&self.in_topic, &self.kind) {
-            (_, VertexKind::AndJunction) => String::from("&"),
-            (Some(t), _) => t.to_string(),
+        let mut key = String::new();
+        self.write_merge_key(&mut key);
+        key
+    }
+
+    /// Appends [`DagVertex::merge_key`] to `out`, so a caller keying many
+    /// vertices can reuse one buffer.
+    pub fn write_merge_key(&self, out: &mut String) {
+        for part in [&self.node, "|", self.kind.name(), "|"] {
+            out.push_str(part);
+        }
+        match (&self.in_topic, &self.kind) {
+            (_, VertexKind::AndJunction) => out.push('&'),
+            (Some(t), _) => out.push_str(t),
+            (None, _) if self.out_topics.is_sorted() => join_into(out, &self.out_topics),
             (None, _) => {
-                let mut outs = self.out_topics.clone();
+                let mut outs: Vec<&Arc<str>> = self.out_topics.iter().collect();
                 outs.sort();
-                outs.join(",")
+                join_into(out, outs);
             }
-        };
-        format!("{}|{}|{}", self.node, self.kind, detail)
+        }
+    }
+}
+
+/// The base topic and callback ID of a `#cb:`-decorated topic.
+fn decoration(topic: &str) -> Option<(&str, CallbackId)> {
+    let (base, hex) = topic.split_once("#cb:")?;
+    let id = u64::from_str_radix(hex.trim_start_matches("0x"), 16).ok()?;
+    Some((base, CallbackId::new(id)))
+}
+
+/// The input topic a canonical label names: the subscribed topic without
+/// its decoration, `-` for input-less callbacks.
+fn base_input(rec: &CallbackRecord) -> &str {
+    rec.in_topic.as_deref().map_or("-", |t| t.split('#').next().unwrap_or(t))
+}
+
+/// The canonical label of callback `id` (see [`Dag::from_cblists`]):
+/// `<node>:<kind>:<base input topic>` of its first record in `records`,
+/// suffixed `~n` when `n` callbacks of lower ID share that label. `None`
+/// when no record has the ID.
+fn canonical_label<'a, I>(id: CallbackId, records: impl Fn() -> I) -> Option<String>
+where
+    I: Iterator<Item = (&'a str, &'a CallbackRecord)>,
+{
+    let first = |id: CallbackId| records().find(|(_, rec)| rec.id == id);
+    let (node, rec) = first(id)?;
+    let label = format!("{node}:{}:{}", rec.kind, base_input(rec));
+    // Whether `label` equals the label of `rec` on `node`, unformatted.
+    let shared = |node: &str, rec: &CallbackRecord| {
+        let rest = label.strip_prefix(node).and_then(|s| s.strip_prefix(':'));
+        let rest = rest.and_then(|s| s.strip_prefix(rec.kind.name()));
+        rest.and_then(|s| s.strip_prefix(':')) == Some(base_input(rec))
+    };
+    let n = records()
+        .filter(|&(node, rec)| rec.id < id && shared(node, rec))
+        .filter(|&(_, rec)| first(rec.id).is_some_and(|(_, f)| std::ptr::eq(f, rec)))
+        .count();
+    Some(if n > 0 { format!("{label}~{n}") } else { label })
+}
+
+/// Appends `topics` to `out`, comma-separated.
+fn join_into<T: AsRef<str>>(out: &mut String, topics: impl IntoIterator<Item = T>) {
+    for (i, t) in topics.into_iter().enumerate() {
+        if i > 0 {
+            out.push(',');
+        }
+        out.push_str(t.as_ref());
     }
 }
 
@@ -136,69 +199,53 @@ impl Dag {
         let node_of = |pid: Pid| {
             node_names.get(&pid).cloned().unwrap_or_else(|| format!("pid:{}", pid.get()))
         };
+        let nodes: Vec<String> = lists.iter().map(|(pid, _)| node_of(*pid)).collect();
+        let records = || {
+            lists.iter().zip(&nodes).flat_map(|((_, list), node)| {
+                list.borrow().entries().iter().map(move |rec| (node.as_str(), rec))
+            })
+        };
 
-        // Canonical label per callback ID, across all nodes. Suffixes for
-        // colliding base labels are assigned in (label, ID) order.
-        let mut canon: FxHashMap<CallbackId, String> = FxHashMap::default();
-        let mut labeled: Vec<(String, CallbackId)> = Vec::new();
-        for (pid, list) in lists {
-            for rec in list.borrow().entries() {
-                if canon.contains_key(&rec.id) {
-                    continue;
-                }
-                canon.insert(rec.id, String::new()); // reserve; filled below
-                let base_in = rec
-                    .in_topic
-                    .as_deref()
-                    .map(|t| t.split('#').next().unwrap_or(t).to_string())
-                    .unwrap_or_else(|| "-".to_string());
-                labeled.push((format!("{}:{}:{}", node_of(*pid), rec.kind, base_in), rec.id));
-            }
-        }
-        labeled.sort();
-        let mut used: BTreeMap<String, usize> = BTreeMap::new();
-        for (mut label, id) in labeled {
-            let n = used.entry(label.clone()).or_insert(0);
-            if *n > 0 {
-                label = format!("{label}~{n}");
-            }
-            *n += 1;
-            canon.insert(id, label);
-        }
+        // Only `#cb:` decorations read canonical labels, so only the
+        // callbacks they reference get one (most windows reference none).
+        let mut referenced: Vec<CallbackId> = records()
+            .flat_map(|(_, rec)| rec.in_topic.iter().chain(&rec.out_topics))
+            .filter_map(|t| decoration(t).map(|(_, id)| id))
+            .collect();
+        referenced.sort_unstable();
+        referenced.dedup();
+        let canon: Vec<(CallbackId, String)> = referenced
+            .into_iter()
+            .filter_map(|id| canonical_label(id, records).map(|label| (id, label)))
+            .collect();
         let rewrite = |topic: &Arc<str>| -> Arc<str> {
-            match topic.split_once("#cb:") {
-                Some((base, hex)) => {
-                    let id = u64::from_str_radix(hex.trim_start_matches("0x"), 16).ok();
-                    match id.and_then(|i| canon.get(&CallbackId::new(i))) {
-                        Some(label) => rtms_util::concat3(base, "#", label),
-                        None => Arc::clone(topic),
-                    }
-                }
-                // Undecorated: share the record's allocation untouched.
-                None => Arc::clone(topic),
-            }
+            let relabeled = decoration(topic).and_then(|(base, id)| {
+                let i = canon.binary_search_by_key(&id, |(i, _)| *i).ok()?;
+                Some(rtms_util::concat3(base, "#", &canon[i].1))
+            });
+            // Undecorated (or naming no listed callback): share the
+            // record's allocation untouched.
+            relabeled.unwrap_or_else(|| Arc::clone(topic))
         };
 
         // Vertices.
         let mut dag = Dag::new();
-        for (pid, list) in lists {
-            for rec in list.borrow().entries() {
-                let mut period = ExecStats::new();
-                for w in rec.start_times.windows(2) {
-                    period.push(w[1] - w[0]);
-                }
-                dag.vertices.push(DagVertex {
-                    node: node_of(*pid),
-                    kind: VertexKind::Callback(rec.kind),
-                    in_topic: rec.in_topic.as_ref().map(&rewrite),
-                    out_topics: rec.out_topics.iter().map(&rewrite).collect(),
-                    is_sync_member: rec.is_sync_subscriber,
-                    or_junction: false,
-                    stats: rec.stats.clone(),
-                    exec_times: rec.exec_times.clone(),
-                    period,
-                });
+        for (node, rec) in records() {
+            let mut period = ExecStats::new();
+            for w in rec.start_times.windows(2) {
+                period.push(w[1] - w[0]);
             }
+            dag.vertices.push(DagVertex {
+                node: node.to_string(),
+                kind: VertexKind::Callback(rec.kind),
+                in_topic: rec.in_topic.as_ref().map(&rewrite),
+                out_topics: rec.out_topics.iter().map(&rewrite).collect(),
+                is_sync_member: rec.is_sync_subscriber,
+                or_junction: false,
+                stats: rec.stats.clone(),
+                exec_times: rec.exec_times.clone(),
+                period,
+            });
         }
 
         // AND junctions: one per node that has sync members (the P7 probe
@@ -262,43 +309,37 @@ impl Dag {
     /// topic sets (`&`-junction membership edges are preserved).
     pub(crate) fn rebuild_topic_edges(&mut self) {
         self.edges.retain(|e| e.topic.starts_with('&'));
-        // Publishers per topic: sync members publish via their junction.
-        let mut publishers: FxHashMap<&str, Vec<VertexId>> = FxHashMap::default();
+        let memberships = self.edges.len();
+        // Publishers per topic, in vertex order within a topic: sync
+        // members publish via their junction.
+        let mut publishers: Vec<(&str, VertexId)> = Vec::new();
         for (i, v) in self.vertices.iter().enumerate() {
             if v.is_sync_member {
                 continue; // outputs routed through the AND junction
             }
-            for t in &v.out_topics {
-                publishers.entry(&**t).or_default().push(VertexId(i));
-            }
+            publishers.extend(v.out_topics.iter().map(|t| (&**t, VertexId(i))));
         }
-        let mut new_edges = Vec::new();
+        publishers.sort_unstable();
+        // Edges into each consumer, and its OR marking: >= 2 incoming
+        // edges with its topic.
+        let mut or_junctions = Vec::new();
         for (i, v) in self.vertices.iter().enumerate() {
-            if let Some(in_topic) = &v.in_topic {
-                if let Some(pubs) = publishers.get(&**in_topic) {
-                    for &p in pubs {
-                        if p != VertexId(i) {
-                            new_edges.push(DagEdge {
-                                from: p,
-                                to: VertexId(i),
-                                topic: in_topic.clone(),
-                            });
-                        }
-                    }
+            let Some(in_topic) = &v.in_topic else { continue };
+            let from = publishers.partition_point(|&(t, _)| t < &**in_topic);
+            let before = self.edges.len();
+            for &(_, p) in publishers[from..].iter().take_while(|&&(t, _)| t == &**in_topic) {
+                if p != VertexId(i) {
+                    self.edges.push(DagEdge { from: p, to: VertexId(i), topic: in_topic.clone() });
                 }
             }
+            let memberships_in = self.edges[..memberships]
+                .iter()
+                .filter(|e| e.to == VertexId(i) && &e.topic == in_topic)
+                .count();
+            or_junctions.push((i, self.edges.len() - before + memberships_in >= 2));
         }
-        self.edges.extend(new_edges);
-        // OR markings: >= 2 incoming edges with the same topic.
-        for (i, v) in self.vertices.iter_mut().enumerate() {
-            if let Some(in_topic) = &v.in_topic {
-                let n = self
-                    .edges
-                    .iter()
-                    .filter(|e| e.to == VertexId(i) && &e.topic == in_topic)
-                    .count();
-                v.or_junction = n >= 2;
-            }
+        for (i, or) in or_junctions {
+            self.vertices[i].or_junction = or;
         }
     }
 
@@ -561,7 +602,7 @@ impl Dag {
     }
 
     /// The structural summary of this model: vertex merge keys and edges
-    /// as key triples, with multiplicity. The input to [`diff`].
+    /// as key triples, with multiplicity.
     pub fn topology(&self) -> Topology {
         let mut vertices: Vec<String> = self.vertices.iter().map(DagVertex::merge_key).collect();
         let keys = vertices.clone(); // index-aligned before sorting
@@ -631,42 +672,15 @@ impl Topology {
         }
         h
     }
-
-    /// Removes elements whose identity is unresolved: vertices decorated
-    /// `#unknown` (Algorithm 1's `FindCaller`/`FindClient` fallback when a
-    /// trace cut leaves a service interaction's peer undetermined) and the
-    /// edges touching them. A model synthesized from a bounded window can
-    /// contain such elements for interactions straddling the window edge;
-    /// comparing *sanitized* topologies avoids phantom structural diffs at
-    /// window boundaries.
-    pub fn without_unresolved(&self) -> Topology {
-        let marker = format!("#{}", crate::alg1::UNKNOWN);
-        Topology {
-            vertices: self.vertices.iter().filter(|v| !v.contains(&marker)).cloned().collect(),
-            edges: self
-                .edges
-                .iter()
-                .filter(|e| {
-                    !e.from.contains(&marker)
-                        && !e.to.contains(&marker)
-                        && !e.topic.contains(&marker)
-                })
-                .cloned()
-                .collect(),
-        }
-    }
-
-    /// The structural difference from `self` (the old model) to `new`:
-    /// multiset differences of vertex keys and edge triples.
-    pub fn diff_to(&self, new: &Topology) -> ModelDiff {
-        ModelDiff {
-            added_vertices: multiset_sub(&new.vertices, &self.vertices),
-            missing_vertices: multiset_sub(&self.vertices, &new.vertices),
-            added_edges: multiset_sub(&new.edges, &self.edges),
-            missing_edges: multiset_sub(&self.edges, &new.edges),
-        }
-    }
 }
+
+/// The decoration of an element whose identity is unresolved: Algorithm
+/// 1's `FindCaller`/`FindClient` fallback when a trace cut leaves a service
+/// interaction's peer undetermined. A model synthesized from a bounded
+/// window can contain such elements for interactions straddling the window
+/// edge, so structural comparisons skip every vertex key, edge endpoint or
+/// topic containing it.
+pub const UNRESOLVED_MARKER: &str = "#unknown";
 
 /// An edge of a [`Topology`]: data flow between two vertices identified by
 /// their merge keys.
@@ -680,10 +694,11 @@ pub struct TopologyEdge {
     pub topic: String,
 }
 
-/// The structural difference between two models, as computed by [`diff`]:
-/// which vertices and edges appeared and which disappeared, identified by
-/// merge key. Element counts respect multiplicity — if a merge key occurs
-/// twice in the old model and once in the new one, it is listed once under
+/// The structural difference between two models, as the drift monitor
+/// (`rtms-monitor`) reports it: which vertices and edges appeared and which
+/// disappeared, identified by merge key. Each list is sorted and names an
+/// element once. Comparison respects multiplicity — if a merge key occurs
+/// twice in the old model and once in the new one, it is listed under
 /// `missing_vertices`.
 ///
 /// Diffs order lexicographically over their four (sorted) lists, so a
@@ -717,37 +732,6 @@ impl ModelDiff {
             + self.added_edges.len()
             + self.missing_edges.len()
     }
-}
-
-/// Structural comparison of two models (old → new): vertices and edges
-/// that appeared or disappeared, by merge key. This is the model-level
-/// primitive behind runtime drift monitoring (`rtms-monitor`).
-pub fn diff(old: &Dag, new: &Dag) -> ModelDiff {
-    old.topology().diff_to(&new.topology())
-}
-
-/// Multiset difference `a - b` of two *sorted* slices.
-fn multiset_sub<T: Ord + Clone>(a: &[T], b: &[T]) -> Vec<T> {
-    let mut out = Vec::new();
-    let (mut i, mut j) = (0, 0);
-    while i < a.len() {
-        if j == b.len() {
-            out.extend_from_slice(&a[i..]);
-            break;
-        }
-        match a[i].cmp(&b[j]) {
-            std::cmp::Ordering::Less => {
-                out.push(a[i].clone());
-                i += 1;
-            }
-            std::cmp::Ordering::Equal => {
-                i += 1;
-                j += 1;
-            }
-            std::cmp::Ordering::Greater => j += 1,
-        }
-    }
-    out
 }
 
 #[cfg(test)]
@@ -1094,16 +1078,20 @@ mod tests {
     }
 
     #[test]
-    fn diff_reports_added_and_missing_elements() {
+    fn topology_fingerprint_tracks_structure() {
         let base_lists = vec![
             (Pid::new(1), list(vec![rec(1, 1, CallbackKind::Timer, None, &["/a"], false)])),
             (Pid::new(2), list(vec![rec(2, 2, CallbackKind::Subscriber, Some("/a"), &[], false)])),
         ];
         let nm = names(&[(1, "n1"), (2, "n2")]);
         let old = Dag::from_cblists(&base_lists, &nm);
-        assert!(diff(&old, &old).is_empty());
-        assert_eq!(diff(&old, &old).len(), 0);
         assert_eq!(old.topology().fingerprint(), old.topology().fingerprint());
+        let edge = TopologyEdge {
+            from: "n1|timer|/a".to_string(),
+            to: "n2|subscriber|/a".to_string(),
+            topic: "/a".to_string(),
+        };
+        assert_eq!(old.topology().edges, vec![edge]);
 
         // New model: the subscriber is gone, a fresh timer appeared.
         let new_lists = vec![
@@ -1113,34 +1101,27 @@ mod tests {
             ])),
         ];
         let new = Dag::from_cblists(&new_lists, &nm);
-        let d = diff(&old, &new);
-        assert_eq!(d.added_vertices, vec!["n1|timer|/b".to_string()]);
-        assert_eq!(d.missing_vertices, vec!["n2|subscriber|/a".to_string()]);
-        assert!(d.added_edges.is_empty());
-        assert_eq!(d.missing_edges.len(), 1, "the /a edge disappeared with its consumer");
-        assert_eq!(d.missing_edges[0].topic, "/a");
+        assert_eq!(new.topology().vertices, vec!["n1|timer|/a", "n1|timer|/b"]);
+        assert!(new.topology().edges.is_empty());
         assert_ne!(old.topology().fingerprint(), new.topology().fingerprint());
     }
 
     #[test]
-    fn diff_respects_multiplicity() {
-        // Two same-key subscribers in the old model, one in the new one:
-        // exactly one missing entry.
-        let two = vec![
-            (Pid::new(1), list(vec![rec(1, 1, CallbackKind::Timer, None, &["/a"], false)])),
-            (Pid::new(2), list(vec![
-                rec(2, 2, CallbackKind::Subscriber, Some("/a"), &[], false),
-                rec(2, 3, CallbackKind::Subscriber, Some("/a"), &[], false),
-            ])),
-        ];
-        let one = vec![
-            (Pid::new(1), list(vec![rec(1, 1, CallbackKind::Timer, None, &["/a"], false)])),
-            (Pid::new(2), list(vec![rec(2, 2, CallbackKind::Subscriber, Some("/a"), &[], false)])),
-        ];
-        let nm = names(&[(1, "n1"), (2, "n2")]);
-        let d = diff(&Dag::from_cblists(&two, &nm), &Dag::from_cblists(&one, &nm));
-        assert_eq!(d.missing_vertices, vec!["n2|subscriber|/a".to_string()]);
-        assert!(d.added_vertices.is_empty());
+    fn unresolved_marker_is_algorithm_1_decoration() {
+        assert_eq!(UNRESOLVED_MARKER, format!("#{}", crate::alg1::UNKNOWN));
+    }
+
+    #[test]
+    fn merge_key_sorts_timer_outputs_and_appends_to_the_buffer() {
+        let lists = vec![(
+            Pid::new(1),
+            list(vec![rec(1, 1, CallbackKind::Timer, None, &["/b", "/a"], false)]),
+        )];
+        let dag = Dag::from_cblists(&lists, &names(&[(1, "n1")]));
+        assert_eq!(dag.vertices()[0].merge_key(), "n1|timer|/a,/b");
+        let mut buf = String::from("x");
+        dag.vertices()[0].write_merge_key(&mut buf);
+        assert_eq!(buf, "xn1|timer|/a,/b");
     }
 
     #[test]

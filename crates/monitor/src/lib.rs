@@ -15,8 +15,8 @@
 //!    timer-period drift ([`AlertKind::PeriodDrift`]), structural change
 //!    against the baseline topology ([`AlertKind::TopologyChange`],
 //!    carrying an [`rtms_core::ModelDiff`]), and per-node processor-load
-//!    spikes ([`AlertKind::LoadSpike`], measured through
-//!    [`rtms_analysis::LoadAccumulator`]).
+//!    spikes ([`AlertKind::LoadSpike`], each callback's load measured by
+//!    [`rtms_analysis::callback_load`]).
 //!
 //! All detection thresholds are spread-aware (they widen with the
 //! baseline's own observed variation), so a healthy application stays
@@ -65,6 +65,7 @@
 pub mod alert;
 pub mod baseline;
 pub mod monitor;
+mod reference;
 pub mod rollup;
 pub mod store;
 

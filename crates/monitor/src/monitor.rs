@@ -1,9 +1,9 @@
 //! The online drift monitor.
 
 use crate::alert::{Alert, AlertKind, Severity};
-use crate::baseline::Baseline;
-use rtms_analysis::LoadAccumulator;
-use rtms_core::{Dag, ModelDiff, TopologyEdge, VertexKind};
+use crate::baseline::{Baseline, CallbackEnvelope};
+use crate::reference::{Reference, WindowKeys};
+use rtms_core::{Dag, DagVertex, ModelDiff, TopologyEdge, VertexId, VertexKind};
 use rtms_trace::Nanos;
 use std::collections::{BTreeMap, BTreeSet};
 
@@ -100,15 +100,20 @@ impl Default for MonitorConfig {
 #[derive(Debug, Clone)]
 pub struct Monitor {
     baseline: Baseline,
-    /// `baseline.topology` with `#unknown`-decorated elements removed —
-    /// the reference side of every structural comparison.
-    reference_topology: rtms_core::Topology,
+    /// The sanitized baseline topology, interned: the reference side of
+    /// every structural comparison.
+    reference: Reference,
+    /// The current window keyed against `reference` (reused scratch).
+    keys: WindowKeys,
     config: MonitorConfig,
     segment: u64,
-    missing_vertex_streak: BTreeMap<String, usize>,
-    missing_edge_streak: BTreeMap<TopologyEdge, usize>,
-    reported_missing_vertices: BTreeSet<String>,
-    reported_missing_edges: BTreeSet<TopologyEdge>,
+    /// Missing-element episode state, keyed by reference id. Ids follow
+    /// key order, so the last id is the lexicographically last element.
+    missing_vertex_streak: BTreeMap<u32, usize>,
+    missing_edge_streak: BTreeMap<u32, usize>,
+    reported_missing_vertices: BTreeSet<u32>,
+    reported_missing_edges: BTreeSet<u32>,
+    /// Added elements are not in the reference, so they keep their keys.
     reported_added_vertices: BTreeSet<String>,
     reported_added_edges: BTreeSet<TopologyEdge>,
     alerts_emitted: u64,
@@ -126,10 +131,10 @@ impl Monitor {
 
     /// Creates a monitor with explicit thresholds.
     pub fn with_config(baseline: Baseline, config: MonitorConfig) -> Monitor {
-        let reference_topology = baseline.topology.without_unresolved();
         Monitor {
+            reference: Reference::new(&baseline),
+            keys: WindowKeys::default(),
             baseline,
-            reference_topology,
             config,
             segment: 0,
             missing_vertex_streak: BTreeMap::new(),
@@ -192,7 +197,8 @@ impl Monitor {
         self.segment += 1;
         let mut alerts = Vec::new();
 
-        if let Some(diff) = self.topology_episodes(snapshot) {
+        self.reference.key_window(snapshot, &mut self.keys);
+        if let Some(diff) = self.topology_episodes() {
             alerts.push(Alert {
                 segment,
                 severity: Severity::Critical,
@@ -241,46 +247,62 @@ impl Monitor {
     /// Structural comparison with episode bookkeeping: appeared elements
     /// report immediately, missing elements once they persist for
     /// [`MonitorConfig::missing_persistence`] windows; each element is
-    /// reported once per episode.
-    fn topology_episodes(&mut self, snapshot: &Dag) -> Option<ModelDiff> {
-        // Both sides sanitized: an interaction cut by the window edge
-        // decorates as `#unknown` and must not read as structural change.
-        let diff = self.reference_topology.diff_to(&snapshot.topology().without_unresolved());
-        let eff = ModelDiff {
-            added_vertices: episode_step(
-                &diff.added_vertices,
-                &mut self.reported_added_vertices,
-                None,
-                1,
-            ),
-            missing_vertices: episode_step(
-                &diff.missing_vertices,
-                &mut self.reported_missing_vertices,
-                Some(&mut self.missing_vertex_streak),
-                self.config.missing_persistence,
-            ),
-            added_edges: episode_step(&diff.added_edges, &mut self.reported_added_edges, None, 1),
-            missing_edges: episode_step(
-                &diff.missing_edges,
-                &mut self.reported_missing_edges,
-                Some(&mut self.missing_edge_streak),
-                self.config.missing_persistence,
-            ),
+    /// reported once per episode. Both sides are sanitized: an interaction
+    /// cut by the window edge decorates as `#unknown` and must not read as
+    /// structural change.
+    fn topology_episodes(&mut self) -> Option<ModelDiff> {
+        let (reference, keys) = (&self.reference, &self.keys);
+        let persistence = self.config.missing_persistence;
+        let added_vertices = added_step(&keys.added_vertices, &mut self.reported_added_vertices);
+        let missing_vertices = missing_step(
+            reference.keys(),
+            |id| reference.key_missing(keys, id),
+            &mut self.missing_vertex_streak,
+            &mut self.reported_missing_vertices,
+            persistence,
+        );
+        let added_edges = added_step(&keys.added_edges, &mut self.reported_added_edges);
+        let missing_edges = missing_step(
+            reference.edges(),
+            |id| reference.edge_missing(keys, id),
+            &mut self.missing_edge_streak,
+            &mut self.reported_missing_edges,
+            persistence,
+        );
+        let diff = ModelDiff {
+            added_vertices,
+            missing_vertices: missing_vertices
+                .into_iter()
+                .map(|id| reference.key(id).to_string())
+                .collect(),
+            added_edges,
+            missing_edges: missing_edges.into_iter().map(|id| reference.edge(id)).collect(),
         };
-        (!eff.is_empty()).then_some(eff)
+        (!diff.is_empty()).then_some(diff)
+    }
+
+    /// The snapshot's vertices with their merge-key ids and envelopes,
+    /// for vertices the baseline holds an envelope for. Vertices without
+    /// one are new topology, reported by [`Monitor::topology_episodes`].
+    fn enveloped<'a>(
+        &'a self,
+        snapshot: &'a Dag,
+    ) -> impl Iterator<Item = (&'a DagVertex, u32, &'a CallbackEnvelope)> + 'a {
+        snapshot.vertices().iter().zip(&self.keys.slots).filter_map(|(v, slot)| {
+            let id = slot.id()?;
+            let env = self.reference.envelope(id)?;
+            Some((v, id, &self.baseline.envelopes[env]))
+        })
     }
 
     /// Per-vertex execution-time and period drift against the envelopes.
-    fn timing_drift(&mut self, snapshot: &Dag, segment: u64, alerts: &mut Vec<Alert>) {
+    fn timing_drift(&self, snapshot: &Dag, segment: u64, alerts: &mut Vec<Alert>) {
         let c = &self.config;
-        for v in snapshot.vertices() {
+        for (v, id, env) in self.enveloped(snapshot) {
             if v.kind == VertexKind::AndJunction {
                 continue;
             }
-            let key = v.merge_key();
-            // Vertices without an envelope are new topology, reported above.
-            let Some(env) = self.baseline.envelope(&key) else { continue };
-
+            let key = self.reference.key(id);
             if env.samples >= c.min_baseline_samples && v.stats.count() >= c.min_window_samples {
                 let spread = (env.mwcet - env.mbcet).scaled(c.exec_range_mult);
                 let bound =
@@ -300,7 +322,7 @@ impl Monitor {
                             segment,
                             severity,
                             kind: AlertKind::ExecDrift {
-                                key: key.clone(),
+                                key: key.to_string(),
                                 observed_macet: observed,
                                 baseline_macet: env.macet,
                                 bound,
@@ -334,7 +356,7 @@ impl Monitor {
                             segment,
                             severity,
                             kind: AlertKind::PeriodDrift {
-                                key: key.clone(),
+                                key: key.to_string(),
                                 observed_period: observed,
                                 baseline_period: pm,
                                 bound,
@@ -362,12 +384,10 @@ impl Monitor {
         if window == Nanos::ZERO {
             return;
         }
-        for v in snapshot.vertices() {
+        for (v, id, env) in self.enveloped(snapshot) {
             if v.kind != VertexKind::Callback(rtms_trace::CallbackKind::Subscriber) {
                 continue;
             }
-            let key = v.merge_key();
-            let Some(env) = self.baseline.envelope(&key) else { continue };
             if env.period_samples < c.min_baseline_periods {
                 continue;
             }
@@ -393,7 +413,7 @@ impl Monitor {
                     segment,
                     severity,
                     kind: AlertKind::MessageLoss {
-                        key: key.clone(),
+                        key: self.reference.key(id).to_string(),
                         observed,
                         expected,
                         threshold: c.loss_threshold,
@@ -403,60 +423,78 @@ impl Monitor {
         }
     }
 
-    /// Per-node processor load over the window, via the streaming
-    /// [`LoadAccumulator`] of `rtms-analysis`.
+    /// Per-node processor load over the window: each callback's
+    /// [`rtms_analysis::callback_load`], summed per node in vertex order
+    /// (the order [`rtms_analysis::node_loads`] sums in), borrowing the
+    /// node names.
     fn load_spikes(&self, snapshot: &Dag, window: Nanos, segment: u64, alerts: &mut Vec<Alert>) {
         if window == Nanos::ZERO {
             return;
         }
-        let mut acc = LoadAccumulator::new(window);
-        acc.add_run(snapshot);
-        for nl in acc.mean_loads() {
-            if nl.load > self.config.load_threshold {
-                alerts.push(Alert {
-                    segment,
-                    severity: Severity::Warning,
-                    kind: AlertKind::LoadSpike {
-                        node: nl.node,
-                        load: nl.load,
-                        threshold: self.config.load_threshold,
-                    },
-                });
+        let mut loads: Vec<(&str, f64)> = Vec::new();
+        for (i, v) in snapshot.vertices().iter().enumerate() {
+            let load = match v.kind {
+                VertexKind::AndJunction => 0.0,
+                VertexKind::Callback(_) => {
+                    rtms_analysis::callback_load(snapshot, VertexId(i), window)
+                }
+            };
+            match loads.iter_mut().rev().find(|(node, _)| *node == v.node) {
+                Some((_, sum)) => *sum += load,
+                None => loads.push((&v.node, load)),
             }
+        }
+        let threshold = self.config.load_threshold;
+        loads.retain(|&(_, load)| load > threshold);
+        loads.sort_by(|a, b| b.1.total_cmp(&a.1).then_with(|| a.0.cmp(b.0)));
+        for (node, load) in loads {
+            alerts.push(Alert {
+                segment,
+                severity: Severity::Warning,
+                kind: AlertKind::LoadSpike { node: node.to_string(), load, threshold },
+            });
         }
     }
 }
 
-/// One window step of episode bookkeeping for one diff list. Returns the
-/// elements to report this window: those whose streak just reached
-/// `persistence` and which were not already reported in the ongoing
-/// episode. Elements absent from `current` have recovered — their streak
-/// and reported status reset, so a recurrence starts a fresh episode.
-fn episode_step<T: Ord + Clone>(
-    current: &[T],
-    reported: &mut BTreeSet<T>,
-    mut streaks: Option<&mut BTreeMap<T, usize>>,
-    persistence: usize,
-) -> Vec<T> {
-    let now: BTreeSet<T> = current.iter().cloned().collect();
+/// One window step of episode bookkeeping for a list of appeared
+/// elements (`now`, sorted and distinct): returns those not already
+/// reported in an ongoing episode. Elements absent from `now` have
+/// recovered, so a recurrence starts a fresh episode.
+fn added_step<T: Ord + Clone>(now: &[T], reported: &mut BTreeSet<T>) -> Vec<T> {
     let mut fresh = Vec::new();
-    for item in &now {
-        let streak = match streaks.as_deref_mut() {
-            Some(map) => {
-                let s = map.entry(item.clone()).or_insert(0);
-                *s += 1;
-                *s
-            }
-            None => persistence, // no streak tracking: report immediately
-        };
-        if streak >= persistence && reported.insert(item.clone()) {
+    for item in now {
+        if !reported.contains(item) {
+            reported.insert(item.clone());
             fresh.push(item.clone());
         }
     }
-    if let Some(map) = streaks {
-        map.retain(|k, _| now.contains(k));
+    reported.retain(|k| now.binary_search(k).is_ok());
+    fresh
+}
+
+/// One window step of episode bookkeeping for missing reference elements
+/// (ids `0..ids` for which `missing` holds): returns, in id order, those
+/// whose streak just reached `persistence` and which were not already
+/// reported in the ongoing episode. Elements no longer missing have
+/// recovered — their streak and reported status reset.
+fn missing_step(
+    ids: usize,
+    missing: impl Fn(u32) -> bool,
+    streaks: &mut BTreeMap<u32, usize>,
+    reported: &mut BTreeSet<u32>,
+    persistence: usize,
+) -> Vec<u32> {
+    let mut fresh = Vec::new();
+    for id in (0..ids as u32).filter(|&id| missing(id)) {
+        let streak = streaks.entry(id).or_insert(0);
+        *streak += 1;
+        if *streak >= persistence && reported.insert(id) {
+            fresh.push(id);
+        }
     }
-    reported.retain(|k| now.contains(k));
+    streaks.retain(|&id, _| missing(id));
+    reported.retain(|&id| missing(id));
     fresh
 }
 
@@ -633,8 +671,115 @@ mod tests {
         assert!(m.observe(&timer_only, WINDOW).is_empty());
     }
 
+    /// The chain plus a second subscriber of `/a` on `n2`: its merge key
+    /// and its in-edge occur twice.
+    fn chain_with_twin_subscriber(n: usize) -> Dag {
+        dag(vec![
+            (1, vec![rec(1, 1, CallbackKind::Timer, None, &["/a"], 1.0, n, 100)]),
+            (2, vec![
+                rec(2, 2, CallbackKind::Subscriber, Some("/a"), &[], 2.0, n, 100),
+                rec(2, 3, CallbackKind::Subscriber, Some("/a"), &[], 2.0, n, 100),
+            ]),
+        ])
+    }
+
+    fn topology_diff(alerts: &[Alert]) -> &ModelDiff {
+        match alerts {
+            [Alert { kind: AlertKind::TopologyChange { diff }, .. }] => diff,
+            other => panic!("expected one topology change, got {other:?}"),
+        }
+    }
+
     #[test]
-    fn load_spike_via_accumulator() {
+    fn duplicate_keys_compare_as_multisets() {
+        let edge = TopologyEdge {
+            from: "n1|timer|/a".to_string(),
+            to: "n2|subscriber|/a".to_string(),
+            topic: "/a".to_string(),
+        };
+        // The reference holds the subscriber key twice, the window once:
+        // missing, reported exactly once.
+        let mut m = Monitor::new(Baseline::from_dag(&chain_with_twin_subscriber(12)));
+        assert!(m.observe(&chain(1.0, 2.0, 6, 100), WINDOW).is_empty(), "below persistence");
+        let alerts = m.observe(&chain(1.0, 2.0, 6, 100), WINDOW);
+        let diff = topology_diff(&alerts);
+        assert_eq!(diff.missing_vertices, vec!["n2|subscriber|/a".to_string()]);
+        assert_eq!(diff.missing_edges, vec![edge.clone()]);
+        assert!(diff.added_vertices.is_empty() && diff.added_edges.is_empty());
+        assert!(m.observe(&chain(1.0, 2.0, 6, 100), WINDOW).is_empty(), "one report per episode");
+        assert!(m.observe(&chain_with_twin_subscriber(6), WINDOW).is_empty(), "recovered");
+
+        // The reference holds it once, the window twice: added, once.
+        let mut m = Monitor::new(Baseline::from_dag(&chain(1.0, 2.0, 12, 100)));
+        let alerts = m.observe(&chain_with_twin_subscriber(6), WINDOW);
+        let diff = topology_diff(&alerts);
+        assert_eq!(diff.added_vertices, vec!["n2|subscriber|/a".to_string()]);
+        assert_eq!(diff.added_edges, vec![edge]);
+        assert!(diff.missing_vertices.is_empty() && diff.missing_edges.is_empty());
+        assert!(m.observe(&chain_with_twin_subscriber(6), WINDOW).is_empty());
+    }
+
+    #[test]
+    fn unresolved_elements_are_skipped_on_both_sides() {
+        // A subscriber of an `#unknown`-decorated topic (a service peer the
+        // window cut off) in the reference only, another in the window only.
+        let with_unknown = |node: u32, topic: &str, exec_ms: f64, n: usize| {
+            let mut lists = vec![
+                (1, vec![rec(1, 1, CallbackKind::Timer, None, &["/a"], 1.0, n, 100)]),
+                (2, vec![rec(2, 2, CallbackKind::Subscriber, Some("/a"), &[], 2.0, n, 100)]),
+            ];
+            lists.push((
+                node,
+                vec![rec(node, 9, CallbackKind::Subscriber, Some(topic), &[], exec_ms, n, 100)],
+            ));
+            dag(lists)
+        };
+        let mut m = Monitor::new(Baseline::from_dag(&with_unknown(3, "/q#unknown", 1.0, 12)));
+        for _ in 0..3 {
+            assert_eq!(m.observe(&with_unknown(4, "/r#unknown", 1.0, 6), WINDOW), vec![]);
+            assert_eq!(m.observe(&chain(1.0, 2.0, 6, 100), WINDOW), vec![]);
+        }
+        assert_eq!(m.retained_episodes(), 0);
+        // An unresolved vertex is still judged against its own envelope.
+        let alerts = m.observe(&with_unknown(3, "/q#unknown", 10.0, 6), WINDOW);
+        assert!(
+            alerts.iter().any(|a| matches!(
+                &a.kind,
+                AlertKind::ExecDrift { key, .. } if key == "n3|subscriber|/q#unknown"
+            )),
+            "{alerts:?}"
+        );
+    }
+
+    #[test]
+    fn added_and_missing_elements_in_one_window() {
+        let config = MonitorConfig { missing_persistence: 1, ..MonitorConfig::default() };
+        let mut m = Monitor::with_config(Baseline::from_dag(&chain(1.0, 2.0, 12, 100)), config);
+        // The chain moved from `/a` to `/b`: both vertices and the edge
+        // are missing and reappear under new keys.
+        let moved = dag(vec![
+            (1, vec![rec(1, 1, CallbackKind::Timer, None, &["/b"], 1.0, 6, 100)]),
+            (2, vec![rec(2, 2, CallbackKind::Subscriber, Some("/b"), &[], 2.0, 6, 100)]),
+        ]);
+        let alerts = m.observe(&moved, WINDOW);
+        let diff = topology_diff(&alerts);
+        assert_eq!(diff.added_vertices, vec!["n1|timer|/b", "n2|subscriber|/b"]);
+        assert_eq!(diff.missing_vertices, vec!["n1|timer|/a", "n2|subscriber|/a"]);
+        let edge = |t: &str| TopologyEdge {
+            from: format!("n1|timer|{t}"),
+            to: format!("n2|subscriber|{t}"),
+            topic: t.to_string(),
+        };
+        assert_eq!(diff.added_edges, vec![edge("/b")]);
+        assert_eq!(diff.missing_edges, vec![edge("/a")]);
+        assert_eq!(m.retained_episodes(), 9, "3 streaks, 3 reported missing, 3 reported added");
+        assert!(m.observe(&moved, WINDOW).is_empty(), "one report per episode");
+        assert!(m.observe(&chain(1.0, 2.0, 6, 100), WINDOW).is_empty(), "recovered");
+        assert_eq!(m.retained_episodes(), 0);
+    }
+
+    #[test]
+    fn load_spike_per_node() {
         let healthy = chain(1.0, 2.0, 12, 100);
         let mut m = Monitor::new(Baseline::from_dag(&healthy));
         // 10 instances of 95 ms in a 1 s window: 95% of a core.

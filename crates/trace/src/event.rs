@@ -37,6 +37,17 @@ impl CallbackKind {
         }
     }
 
+    /// The lowercase name of the kind (`timer`, `subscriber`, `service`,
+    /// `client`), as `Display` prints it.
+    pub fn name(self) -> &'static str {
+        match self {
+            CallbackKind::Timer => "timer",
+            CallbackKind::Subscriber => "subscriber",
+            CallbackKind::Service => "service",
+            CallbackKind::Client => "client",
+        }
+    }
+
     /// The probe that notifies the end of this kind of callback.
     pub fn end_probe(self) -> Probe {
         match self {
@@ -50,12 +61,7 @@ impl CallbackKind {
 
 impl fmt::Display for CallbackKind {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            CallbackKind::Timer => write!(f, "timer"),
-            CallbackKind::Subscriber => write!(f, "subscriber"),
-            CallbackKind::Service => write!(f, "service"),
-            CallbackKind::Client => write!(f, "client"),
-        }
+        f.write_str(self.name())
     }
 }
 
