@@ -7,7 +7,7 @@ use std::time::{Duration, Instant};
 use crate::config::SegmentPlan;
 use crate::report::TenantAlert;
 use crate::tenant::TenantDirectory;
-use rtms_core::{merge_dag_refs, Dag, SynthesisSession};
+use rtms_core::{Dag, SynthesisSession};
 use rtms_monitor::{Baseline, BaselineStore, MonitorConfig};
 use rtms_trace::TraceSegment;
 use rtms_util::mpsc::{LaneReceiver, LaneSender};
@@ -127,7 +127,7 @@ pub(crate) fn run_shard(
             outcome.peak_session_watermark =
                 outcome.peak_session_watermark.max(rt.session.peak_watermark());
             let model = rt.session.model();
-            outcome.model = merge_dag_refs([&outcome.model, &model]);
+            outcome.model.merge(&model);
         }
         // Recycle the slab to its producer; if that lane is full (the
         // producer is far ahead) or gone (the producer finished), the

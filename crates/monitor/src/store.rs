@@ -23,6 +23,8 @@ pub struct BaselineStore {
     monitors: BTreeMap<u64, Monitor>,
     baseline_bytes: usize,
     peak_baseline_bytes: usize,
+    /// Running sum of [`Monitor::retained_episodes`] over `monitors`.
+    retained_episodes: usize,
     peak_retained_episodes: usize,
 }
 
@@ -34,6 +36,7 @@ impl BaselineStore {
             monitors: BTreeMap::new(),
             baseline_bytes: 0,
             peak_baseline_bytes: 0,
+            retained_episodes: 0,
             peak_retained_episodes: 0,
         }
     }
@@ -46,6 +49,7 @@ impl BaselineStore {
         let monitor = Monitor::with_config(baseline, self.config.clone());
         if let Some(old) = self.monitors.insert(tenant, monitor) {
             self.baseline_bytes -= old.baseline().approx_bytes();
+            self.retained_episodes -= old.retained_episodes();
         }
         self.baseline_bytes += bytes;
         self.peak_baseline_bytes = self.peak_baseline_bytes.max(self.baseline_bytes);
@@ -59,9 +63,10 @@ impl BaselineStore {
         let Some(monitor) = self.monitors.get_mut(&tenant) else {
             return Vec::new();
         };
+        let before = monitor.retained_episodes();
         let alerts = monitor.observe(snapshot, window);
-        let retained: usize = self.monitors.values().map(Monitor::retained_episodes).sum();
-        self.peak_retained_episodes = self.peak_retained_episodes.max(retained);
+        self.retained_episodes = self.retained_episodes - before + monitor.retained_episodes();
+        self.peak_retained_episodes = self.peak_retained_episodes.max(self.retained_episodes);
         alerts
     }
 
@@ -103,7 +108,7 @@ impl BaselineStore {
 
     /// Episode-tracking entries currently retained across all monitors.
     pub fn retained_episodes(&self) -> usize {
-        self.monitors.values().map(Monitor::retained_episodes).sum()
+        self.retained_episodes
     }
 
     /// High-water mark of [`BaselineStore::retained_episodes`], measured
@@ -210,5 +215,44 @@ mod tests {
         }
         assert!(store.retained_episodes() > 0);
         assert_eq!(store.peak_retained_episodes(), store.retained_episodes());
+    }
+
+    #[test]
+    fn running_episode_total_matches_the_full_sum() {
+        let full_sum =
+            |store: &BaselineStore| store.monitors.values().map(Monitor::retained_episodes).sum();
+        let mut store = BaselineStore::default();
+        for t in 0..3u64 {
+            store.install(t, Baseline::from_dag(&chain("app", 1.0, 12)));
+        }
+        let window = Nanos::from_secs(1);
+        // Episodes open (rogue topology), persist, recover (healthy),
+        // re-open on another tenant, and are dropped by a reinstall.
+        let history: [(u64, &str, f64); 9] = [
+            (0, "rogue", 1.0),
+            (1, "rogue", 1.0),
+            (0, "rogue", 1.0),
+            (2, "app", 8.0),
+            (0, "app", 1.0),
+            (1, "other", 1.0),
+            (2, "rogue", 1.0),
+            (1, "app", 1.0),
+            (2, "rogue", 1.0),
+        ];
+        let mut peak = 0;
+        for (tenant, tag, exec_ms) in history {
+            store.observe(tenant, &chain(tag, exec_ms, 6), window);
+            assert_eq!(
+                store.retained_episodes(),
+                full_sum(&store),
+                "after tenant {tenant} saw {tag}"
+            );
+            peak = peak.max(full_sum(&store));
+        }
+        assert!(peak > 0, "the history must open episodes");
+        assert_eq!(store.peak_retained_episodes(), peak);
+        store.install(2, Baseline::from_dag(&chain("app", 1.0, 12)));
+        assert_eq!(store.retained_episodes(), full_sum(&store), "reinstall drops the old episodes");
+        assert_eq!(store.peak_retained_episodes(), peak, "the peak is a high-water mark");
     }
 }
