@@ -207,7 +207,8 @@ impl Dag {
         };
 
         // Only `#cb:` decorations read canonical labels, so only the
-        // callbacks they reference get one (most windows reference none).
+        // callbacks they reference get one: a model without service
+        // traffic builds none.
         let mut referenced: Vec<CallbackId> = records()
             .flat_map(|(_, rec)| rec.in_topic.iter().chain(&rec.out_topics))
             .filter_map(|t| decoration(t).map(|(_, id)| id))
@@ -1075,6 +1076,29 @@ mod tests {
         keys_a.sort();
         keys_b.sort();
         assert_eq!(keys_a, keys_b, "labels must be assigned in ID order, not observation order");
+    }
+
+    #[test]
+    fn canonical_labels_count_every_peer_once() {
+        // Three timers of n1 share the base label `n1:timer:-`, and ID 5
+        // recurs on another node (its first record names it). Only ID 7
+        // is referenced, yet its suffix counts both lower-ID peers once.
+        let lists = vec![
+            (Pid::new(1), list(vec![
+                rec(1, 3, CallbackKind::Timer, None, &["/x"], false),
+                rec(1, 5, CallbackKind::Timer, None, &["/y"], false),
+                rec(1, 7, CallbackKind::Timer, None, &["/z"], false),
+            ])),
+            (Pid::new(2), list(vec![rec(2, 5, CallbackKind::Subscriber, Some("/q"), &[], false)])),
+            (Pid::new(3), list(vec![
+                rec(3, 9, CallbackKind::Service, Some("/req#cb:0x7"), &[], false),
+                rec(3, 10, CallbackKind::Service, Some("/req#cb:0x63"), &[], false),
+            ])),
+        ];
+        let dag = Dag::from_cblists(&lists, &names(&[(1, "n1"), (2, "n2"), (3, "srv")]));
+        let ins: Vec<&str> =
+            dag.vertices()[4..].iter().filter_map(|v| v.in_topic.as_deref()).collect();
+        assert_eq!(ins, vec!["/req#n1:timer:-~2", "/req#cb:0x63"], "an unknown ID stays as is");
     }
 
     #[test]
