@@ -141,8 +141,6 @@ pub struct NodeExecutor {
     dds_slot: Option<usize>,
     /// Lazily filled on the first poll (the core is fully built by then).
     init_done: bool,
-    /// Use the pre-indexing full-scan polling loop (differential oracle).
-    reference: bool,
 }
 
 impl NodeExecutor {
@@ -151,7 +149,6 @@ impl NodeExecutor {
         core: Rc<RefCell<ExecCore>>,
         rank: usize,
         poll_pid: Pid,
-        reference: bool,
     ) -> Self {
         NodeExecutor {
             world,
@@ -164,7 +161,6 @@ impl NodeExecutor {
             reader_cb: Vec::new(),
             dds_slot: None,
             init_done: false,
-            reference,
         }
     }
 
@@ -460,11 +456,11 @@ impl NodeExecutor {
 
     /// Event-driven polling: visits only ready work. Expired timers come
     /// off the deadline heap, delivered samples off the DDS router's
-    /// per-node due list. Matches the reference scan's dispatch order
-    /// exactly: timers by `(next_fire, idx)` (the heap key), then readers
-    /// in ascending reader-id order — which equals callback registration
-    /// order, because readers are created in callback order at build.
-    fn next_op_indexed(&mut self, ctx: &mut SimCtx<'_>) -> Op {
+    /// per-node due list. Dispatch order: timers by `(next_fire, idx)`
+    /// (the heap key), then readers in ascending reader-id order, which
+    /// equals callback registration order because readers are created in
+    /// callback order at build.
+    fn poll(&mut self, ctx: &mut SimCtx<'_>) -> Op {
         let core_rc = Rc::clone(&self.core);
         loop {
             let mut core = core_rc.borrow_mut();
@@ -518,8 +514,7 @@ impl NodeExecutor {
                 };
                 let idx = self.reader_cb[pos].1;
                 // Queued is not delivered: the head sample may still be
-                // in DDS flight, in which case the reference scan skips
-                // this callback too.
+                // in DDS flight.
                 if !due {
                     continue;
                 }
@@ -555,96 +550,6 @@ impl NodeExecutor {
             return Op::Block { until: self.timers.peek().map(|&Reverse((fire, _))| fire) };
         }
     }
-
-    /// The pre-indexing polling loop: a full scan over every callback for
-    /// due timers, due samples, and the next deadline. Kept verbatim as
-    /// the differential-testing oracle.
-    fn next_op_reference(&mut self, ctx: &mut SimCtx<'_>) -> Op {
-        let core_rc = Rc::clone(&self.core);
-        loop {
-            let mut core = core_rc.borrow_mut();
-            let core = &mut *core;
-            let now = ctx.now();
-            // 1. Expired claimable timers, earliest deadline first.
-            let due_timer = core
-                .cbs
-                .iter()
-                .enumerate()
-                .filter_map(|(i, cb)| match cb.detail {
-                    CbDetail::Timer { next_fire, .. }
-                        if next_fire <= now && core.claims(self.rank, i) =>
-                    {
-                        Some((next_fire, i))
-                    }
-                    _ => None,
-                })
-                .min();
-            if let Some((_, idx)) = due_timer {
-                return self.begin_timer(ctx, core, idx);
-            }
-            // 2. Delivered samples for claimable callbacks, in callback
-            //    registration order.
-            let mut client_handled = false;
-            let mut started: Option<Op> = None;
-            for idx in 0..core.cbs.len() {
-                if !core.claims(self.rank, idx) {
-                    continue;
-                }
-                let due = {
-                    let w = self.world.borrow();
-                    match &core.cbs[idx].detail {
-                        CbDetail::Subscriber { reader, .. }
-                        | CbDetail::Service { reader, .. }
-                        | CbDetail::Client { reader, .. } => w.dds.has_due(*reader, now),
-                        CbDetail::Timer { .. } => false,
-                    }
-                };
-                if !due {
-                    continue;
-                }
-                match core.cbs[idx].detail {
-                    CbDetail::Subscriber { .. } => {
-                        started = Some(self.begin_subscriber(ctx, core, idx));
-                    }
-                    CbDetail::Service { .. } => {
-                        started = Some(self.begin_service(ctx, core, idx));
-                    }
-                    CbDetail::Client { .. } => match self.begin_client(ctx, core, idx) {
-                        Some(op) => started = Some(op),
-                        None => {
-                            // Undispatched response consumed: rescan.
-                            client_handled = true;
-                        }
-                    },
-                    CbDetail::Timer { .. } => unreachable!("timers handled above"),
-                }
-                if started.is_some() {
-                    break;
-                }
-            }
-            if let Some(op) = started {
-                return op;
-            }
-            if client_handled {
-                continue; // consumed a non-dispatched response; look again
-            }
-            // 3. Nothing ready: wait on the wait-set, bounded by the next
-            //    claimable timer deadline. A worker pinned to no timers
-            //    blocks until a sample wake arrives.
-            let next_deadline = core
-                .cbs
-                .iter()
-                .enumerate()
-                .filter_map(|(i, cb)| match cb.detail {
-                    CbDetail::Timer { next_fire, .. } if core.claims(self.rank, i) => {
-                        Some(next_fire)
-                    }
-                    _ => None,
-                })
-                .min();
-            return Op::Block { until: next_deadline };
-        }
-    }
 }
 
 impl ThreadLogic for NodeExecutor {
@@ -652,10 +557,6 @@ impl ThreadLogic for NodeExecutor {
         if let Some(cur) = self.current.take() {
             self.finish(ctx, cur);
         }
-        if self.reference {
-            self.next_op_reference(ctx)
-        } else {
-            self.next_op_indexed(ctx)
-        }
+        self.poll(ctx)
     }
 }

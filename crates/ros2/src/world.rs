@@ -199,7 +199,6 @@ pub struct WorldBuilder {
     filtered_kernel: bool,
     record_wakeups: bool,
     faults: FaultPlan,
-    reference_engine: bool,
 }
 
 impl WorldBuilder {
@@ -216,7 +215,6 @@ impl WorldBuilder {
             filtered_kernel: true,
             record_wakeups: false,
             faults: FaultPlan::new(),
-            reference_engine: false,
         }
     }
 
@@ -275,15 +273,6 @@ impl WorldBuilder {
     /// exports the machine's complete scheduler stream.
     pub fn record_wakeups(mut self) -> Self {
         self.record_wakeups = true;
-        self
-    }
-
-    /// Runs the world on the pre-indexing scheduler and executor paths
-    /// (linear rebalance, heap-resident slice checks, full callback
-    /// scans). The differential suites pin the indexed engine's event
-    /// stream byte-identical to this one.
-    pub fn reference_engine(mut self) -> Self {
-        self.reference_engine = true;
         self
     }
 
@@ -421,9 +410,6 @@ impl WorldBuilder {
         }));
 
         let mut sched = SimulatorBuilder::new(self.cpus).timeslice(self.timeslice);
-        if self.reference_engine {
-            sched = sched.reference_engine();
-        }
         let mut node_pids: Vec<(String, Pid)> = Vec::new();
         let mut next_cb_id: u64 = 1;
 
@@ -562,13 +548,8 @@ impl WorldBuilder {
                 let core = Rc::new(RefCell::new(ExecCore { cbs, syncs, owner }));
                 let mut worker_pids = Vec::with_capacity(workers);
                 for rank in 0..workers {
-                    let logic = NodeExecutor::new(
-                        Rc::clone(&world),
-                        Rc::clone(&core),
-                        rank,
-                        pid,
-                        self.reference_engine,
-                    );
+                    let logic =
+                        NodeExecutor::new(Rc::clone(&world), Rc::clone(&core), rank, pid);
                     let thread_name = if rank == 0 {
                         node.name.clone()
                     } else {

@@ -98,13 +98,8 @@ struct Thread {
     remaining: Option<Nanos>,
     /// When the thread was last put on a CPU (valid while Running).
     dispatched_at: Nanos,
-    /// Bumped at every deschedule to invalidate in-flight timer events.
-    gen: u64,
     /// Latched wakeup (signal arrived while not blocked).
     pending_wake: bool,
-    /// FIFO tiebreak among equal priorities (reference engine only; the
-    /// indexed runqueue encodes this order positionally).
-    ready_seq: u64,
     /// Runqueue bucket for this thread's priority (0 = highest), assigned
     /// at build time from the distinct spawned priorities.
     bucket: u32,
@@ -116,51 +111,6 @@ struct Thread {
     last_cpu: Cpu,
     cpu_time: Nanos,
     logic: Option<Box<dyn ThreadLogic>>,
-}
-
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum EvKind {
-    /// The running thread's current `Compute` finishes (reference engine
-    /// only; the indexed engine keeps it in a per-CPU slot).
-    OpComplete { pid: Pid, gen: u64 },
-    /// Round-robin timeslice check (reference engine only; the indexed
-    /// engine keeps it in a per-CPU slot).
-    SliceCheck { cpu: Cpu, pid: Pid, gen: u64 },
-    /// A scheduled (timed) wakeup fires.
-    WakeAt { pid: Pid },
-}
-
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-struct Ev {
-    time: Nanos,
-    seq: u64,
-    kind: EvKind,
-}
-
-impl Ord for Ev {
-    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        (self.time, self.seq).cmp(&(other.time, other.seq))
-    }
-}
-impl PartialOrd for Ev {
-    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
-        Some(self.cmp(other))
-    }
-}
-
-/// Which scheduling core drives the event loop.
-///
-/// Both engines emit byte-identical `SchedEvent` streams; the reference
-/// engine exists as a living oracle for the differential suites.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum Engine {
-    /// Priority-bucketed runqueue, dirty-gated rebalance, per-CPU virtual
-    /// slice slots. The default.
-    Indexed,
-    /// The pre-indexing algorithm: linear ready-list scans, an
-    /// unconditional clone+sort rebalance after every event, and slice
-    /// checks armed through the event heap.
-    Reference,
 }
 
 /// Low bits of an event key below the seq: the index of the slot the
@@ -181,7 +131,7 @@ fn event_key(time: Nanos, seq: u64, slot: usize) -> u128 {
 /// The key of an unarmed slot: it sorts after every armed event.
 const EMPTY_SLOT: u128 = u128::MAX;
 
-/// Per-CPU slot layout (indexed engine): slot `2 * cpu` holds the running
+/// Per-CPU slot layout: slot `2 * cpu` holds the running
 /// thread's pending `Compute` completion, slot `2 * cpu + 1` its pending
 /// round-robin slice check. A running thread has at most one of each, and
 /// both belong to whatever thread currently occupies the CPU:
@@ -194,10 +144,9 @@ const SLICE: usize = 1;
 /// distinct priority (bucket 0 is the highest priority), plus a bitmask of
 /// non-empty buckets so scans skip empty levels in O(words).
 ///
-/// Within a bucket, push order is ready order — threads are pushed exactly
-/// where the reference engine assigns a fresh monotonic `ready_seq`, so
-/// FIFO-within-bucket reproduces `(prio desc, ready_seq asc)` selection
-/// without any per-thread sequence numbers.
+/// Within a bucket, push order is ready order, so scanning buckets in
+/// order and each bucket front to back selects by priority first and FIFO
+/// among equals, with no per-thread sequence numbers.
 struct RunQueue {
     buckets: Vec<VecDeque<u32>>,
     mask: Vec<u64>,
@@ -256,24 +205,20 @@ impl RunQueue {
 ///
 /// Snapshot them with [`Simulator::stats`]; all counters are cumulative
 /// since the simulator was built. `rebalance_skipped / events` measures how
-/// often the dirty gate saved a scheduling pass, and `stale_pops / events`
-/// tracks heap churn from invalidated timer events (always zero on the
-/// default engine).
+/// often the dirty gate saved a scheduling pass.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct SimStats {
     /// Events processed by the main loop (heap pops plus per-CPU
     /// completion and slice slots fired).
     pub events: u64,
-    /// Events pushed onto the binary heap. On the default engine only
-    /// timed wakeups go there; completions and slice checks live in
-    /// per-CPU slots. The reference engine pushes every event.
+    /// Events pushed onto the binary heap: the timed wakeups. Completions
+    /// and slice checks live in per-CPU slots.
     pub heap_pushes: u64,
-    /// Popped events that were stale (the thread was descheduled after the
-    /// event was armed) and did nothing. Only the reference engine has
-    /// any: the default engine's slots are cleared at deschedule.
+    /// Popped events that did nothing because they had gone stale. Always
+    /// zero: a deschedule clears the per-CPU slots, and a timed wakeup is
+    /// never stale. The field stays because the benchmark reports it.
     pub stale_pops: u64,
-    /// Round-robin slice checks armed (slot writes, or heap pushes on the
-    /// reference engine).
+    /// Round-robin slice checks armed (slot writes).
     pub slice_arms: u64,
     /// Slice-check arms elided because no other thread can ever contend at
     /// the running thread's priority or above.
@@ -294,7 +239,6 @@ pub struct SimulatorBuilder {
     timeslice: Nanos,
     first_pid: u32,
     threads: Vec<Thread>,
-    reference: bool,
 }
 
 impl SimulatorBuilder {
@@ -310,20 +254,7 @@ impl SimulatorBuilder {
             timeslice: Nanos::from_millis(1),
             first_pid: 1000,
             threads: Vec::new(),
-            reference: false,
         }
-    }
-
-    /// Selects the pre-indexing reference engine: linear ready-list scans,
-    /// an unconditional rebalance after every event, and slice checks armed
-    /// through the event heap.
-    ///
-    /// The emitted `SchedEvent` stream is byte-identical to the default
-    /// indexed engine — the differential suites use this path as the
-    /// oracle the optimized engine is pinned against.
-    pub fn reference_engine(mut self) -> Self {
-        self.reference = true;
-        self
     }
 
     /// Sets the round-robin timeslice among equal-priority threads
@@ -360,9 +291,7 @@ impl SimulatorBuilder {
             state: RunState::Runnable,
             remaining: None,
             dispatched_at: Nanos::ZERO,
-            gen: 0,
             pending_wake: false,
-            ready_seq: 0,
             bucket: 0,
             contended: true,
             last_cpu: Cpu::new(0),
@@ -395,19 +324,9 @@ impl SimulatorBuilder {
         for t in &mut threads {
             t.contended = t.bucket > 0 || bucket_counts[t.bucket as usize] > 1;
         }
-        let engine = if self.reference { Engine::Reference } else { Engine::Indexed };
-        let mut ready_ctr = 0u64;
-        let mut ready = Vec::new();
         let mut runqueue = RunQueue::new(bucket_prios.len());
-        for (i, t) in threads.iter_mut().enumerate() {
-            match engine {
-                Engine::Indexed => runqueue.push(t.bucket as usize, i as u32),
-                Engine::Reference => {
-                    t.ready_seq = ready_ctr;
-                    ready_ctr += 1;
-                    ready.push(t.pid);
-                }
-            }
+        for (i, t) in threads.iter().enumerate() {
+            runqueue.push(t.bucket as usize, i as u32);
         }
         Simulator {
             now: Nanos::ZERO,
@@ -415,15 +334,12 @@ impl SimulatorBuilder {
             threads,
             running: vec![None; cpus],
             last_running: vec![Pid::IDLE; cpus],
-            ready,
             runqueue,
             bucket_prios,
             slots: vec![EMPTY_SLOT; 2 * cpus],
             dirty: true,
-            engine,
             queue: BinaryHeap::new(),
             seq: 0,
-            ready_ctr,
             timeslice: self.timeslice,
             record: true,
             events: Vec::new(),
@@ -448,23 +364,20 @@ pub struct Simulator {
     /// Per-CPU thread observed at the last event flush, for diff-based
     /// `sched_switch` emission.
     last_running: Vec<Pid>,
-    /// Ready list of the reference engine (unused by the indexed engine).
-    ready: Vec<Pid>,
-    /// Priority-bucketed ready queue of the indexed engine.
+    /// Priority-bucketed ready queue.
     runqueue: RunQueue,
     /// Priority of each runqueue bucket (descending), for the preemption
     /// early-out.
     bucket_prios: Vec<Priority>,
-    /// Per-CPU completion and slice-check slots (indexed engine; see
-    /// [`COMPLETION`]), keyed by [`event_key`].
+    /// Per-CPU completion and slice-check slots (see [`COMPLETION`]),
+    /// keyed by [`event_key`].
     slots: Vec<u128>,
     /// Set whenever the ready or running sets change; a scheduling pass is
-    /// only needed while this holds (indexed engine).
+    /// only needed while this holds.
     dirty: bool,
-    engine: Engine,
-    queue: BinaryHeap<Reverse<Ev>>,
+    /// Timed wakeups, keyed by [`event_key`] (slot 0).
+    queue: BinaryHeap<Reverse<(u128, Pid)>>,
     seq: u64,
-    ready_ctr: u64,
     timeslice: Nanos,
     record: bool,
     events: Vec<SchedEvent>,
@@ -557,20 +470,6 @@ impl Simulator {
     /// May be called repeatedly with increasing deadlines; time never moves
     /// backwards.
     pub fn run_until(&mut self, until: Nanos) {
-        match self.engine {
-            Engine::Indexed => self.run_until_indexed(until),
-            Engine::Reference => self.run_until_reference(until),
-        }
-        // Account partial runtimes up to the horizon.
-        self.now = until.max(self.now);
-        for cpu in 0..self.running.len() {
-            if let Some(pid) = self.running[cpu] {
-                self.account_runtime(pid);
-            }
-        }
-    }
-
-    fn run_until_indexed(&mut self, until: Nanos) {
         // Initial placement of the ready threads spawned at build time
         // (dirty holds after build; on a resume of a stable machine the
         // pass is skipped).
@@ -579,11 +478,10 @@ impl Simulator {
         loop {
             // The next event is the min of `(time, seq)` over the heap top
             // and the 2 * cpus per-CPU slots. Slot seqs come from the same
-            // counter as heap seqs, so this is exactly the pop order of the
-            // reference engine's single heap, minus its stale entries.
+            // counter as heap seqs, so events fire in the order they would
+            // from one shared heap.
             let slot_key = self.slots.iter().copied().min().unwrap_or(EMPTY_SLOT);
-            let heap_key =
-                self.queue.peek().map_or(EMPTY_SLOT, |&Reverse(ev)| event_key(ev.time, ev.seq, 0));
+            let heap_key = self.queue.peek().map_or(EMPTY_SLOT, |&Reverse((key, _))| key);
             let key = slot_key.min(heap_key);
             if key == EMPTY_SLOT {
                 break;
@@ -603,43 +501,20 @@ impl Simulator {
                 if slot % 2 == COMPLETION {
                     self.complete_op(pid);
                 } else {
-                    self.on_slice_check_indexed(Cpu::new(cpu as u16), pid);
+                    self.on_slice_check(Cpu::new(cpu as u16), pid);
                 }
             } else {
-                let Reverse(ev) = self.queue.pop().expect("heap top present");
-                match ev.kind {
-                    EvKind::WakeAt { pid } => self.wake_request(pid),
-                    EvKind::OpComplete { .. } | EvKind::SliceCheck { .. } => {
-                        unreachable!("the indexed engine keeps these in per-CPU slots")
-                    }
-                }
+                let Reverse((_, pid)) = self.queue.pop().expect("heap top present");
+                self.wake_request(pid);
             }
             self.rebalance_if_dirty();
         }
-    }
-
-    fn run_until_reference(&mut self, until: Nanos) {
-        // Initial placement of the ready threads spawned at build time.
-        self.stats.rebalance_runs += 1;
-        self.rebalance_reference();
-        self.flush_switches();
-
-        while let Some(&Reverse(ev)) = self.queue.peek() {
-            if ev.time > until {
-                break;
+        // Account partial runtimes up to the horizon.
+        self.now = until.max(self.now);
+        for cpu in 0..self.running.len() {
+            if let Some(pid) = self.running[cpu] {
+                self.account_runtime(pid);
             }
-            self.queue.pop();
-            debug_assert!(ev.time >= self.now, "event queue must be monotonic");
-            self.now = ev.time;
-            self.stats.events += 1;
-            match ev.kind {
-                EvKind::OpComplete { pid, gen } => self.on_op_complete_reference(pid, gen),
-                EvKind::WakeAt { pid } => self.wake_request(pid),
-                EvKind::SliceCheck { cpu, pid, gen } => self.on_slice_check_reference(cpu, pid, gen),
-            }
-            self.stats.rebalance_runs += 1;
-            self.rebalance_reference();
-            self.flush_switches();
         }
     }
 
@@ -657,28 +532,19 @@ impl Simulator {
         seq
     }
 
-    fn push_event(&mut self, time: Nanos, kind: EvKind) {
+    /// Queues a timed wakeup of `pid` at `time`.
+    fn push_wake(&mut self, time: Nanos, pid: Pid) {
         let seq = self.next_seq();
         self.stats.heap_pushes += 1;
-        self.queue.push(Reverse(Ev { time, seq, kind }));
+        self.queue.push(Reverse((event_key(time, seq, 0), pid)));
     }
 
-    /// Puts a runnable thread on the ready structure of the active engine.
-    /// Every caller is a ready-set mutation, so the dirty flag is raised
-    /// here.
+    /// Puts a runnable thread at the back of its runqueue bucket. Every
+    /// caller is a ready-set mutation, so the dirty flag is raised here.
     fn make_ready(&mut self, idx: usize) {
         self.dirty = true;
-        match self.engine {
-            Engine::Indexed => {
-                let bucket = self.threads[idx].bucket as usize;
-                self.runqueue.push(bucket, idx as u32);
-            }
-            Engine::Reference => {
-                self.threads[idx].ready_seq = self.ready_ctr;
-                self.ready_ctr += 1;
-                self.ready.push(self.threads[idx].pid);
-            }
-        }
+        let bucket = self.threads[idx].bucket as usize;
+        self.runqueue.push(bucket, idx as u32);
     }
 
     fn emit(&mut self, event: SchedEvent) {
@@ -723,18 +589,7 @@ impl Simulator {
     }
 
     pub(crate) fn schedule_wake(&mut self, pid: Pid, at: Nanos) {
-        let at = at.max(self.now);
-        self.push_event(at, EvKind::WakeAt { pid });
-    }
-
-    fn on_op_complete_reference(&mut self, pid: Pid, gen: u64) {
-        let idx = self.index(pid);
-        if self.threads[idx].gen != gen || !matches!(self.threads[idx].state, RunState::Running(_))
-        {
-            self.stats.stale_pops += 1;
-            return; // stale: the thread was descheduled in the meantime
-        }
-        self.complete_op(pid);
+        self.push_wake(at.max(self.now), pid);
     }
 
     /// The running thread's current `Compute` finished: ask its logic for
@@ -746,32 +601,9 @@ impl Simulator {
         self.run_logic(pid);
     }
 
-    fn on_slice_check_reference(&mut self, cpu: Cpu, pid: Pid, gen: u64) {
-        let idx = self.index(pid);
-        if self.running[cpu.index()] != Some(pid) || self.threads[idx].gen != gen {
-            self.stats.stale_pops += 1;
-            return; // stale
-        }
-        let my_prio = self.threads[idx].prio;
-        let contender = self
-            .ready
-            .iter()
-            .any(|&r| {
-                let ri = self.index(r);
-                self.threads[ri].prio >= my_prio && self.threads[ri].affinity.allows(cpu)
-            });
-        if contender {
-            self.preempt(pid);
-        } else {
-            let slice = self.timeslice;
-            self.stats.slice_arms += 1;
-            self.push_event(self.now + slice, EvKind::SliceCheck { cpu, pid, gen });
-        }
-    }
-
     /// A slice slot fired for `pid`, the thread on `cpu` (slots are
     /// cleared at deschedule, so it is never stale).
-    fn on_slice_check_indexed(&mut self, cpu: Cpu, pid: Pid) {
+    fn on_slice_check(&mut self, cpu: Cpu, pid: Pid) {
         let bucket = self.threads[self.index(pid)].bucket as usize;
         if self.has_contender_for(bucket, cpu) {
             self.preempt(pid);
@@ -800,15 +632,11 @@ impl Simulator {
     }
 
     /// Arms the round-robin slice check for `pid` on `cpu` in the per-CPU
-    /// slot (indexed engine).
+    /// slot, with a fresh seq from the counter the heap shares.
     ///
-    /// The seq bump happens at exactly the position where the reference
-    /// engine pushes its `SliceCheck` heap event, so every event keeps a
-    /// literally identical `(time, seq)` key. For an uncontended thread the
-    /// reference engine would re-arm forever without ever preempting, so
-    /// both the check and its seq bump are elided — dropping entries from
-    /// the push sequence shifts later seqs uniformly and preserves the
-    /// relative order of everything that remains.
+    /// An uncontended thread's check could re-arm forever without ever
+    /// preempting, so both the check and its seq are elided: a gap in the
+    /// seq sequence leaves the relative order of every other event as is.
     fn arm_slice(&mut self, cpu: Cpu, pid: Pid) {
         let idx = self.index(pid);
         if !self.threads[idx].contended {
@@ -821,21 +649,14 @@ impl Simulator {
         self.slots[slot] = event_key(self.now + self.timeslice, seq, slot);
     }
 
-    /// Arms the completion of `pid`'s current `Compute` op at `at`.
-    ///
-    /// The indexed engine writes `cpu`'s completion slot, drawing its seq
-    /// exactly where the reference engine pushes its `OpComplete` heap
-    /// event, so both see the same `(time, seq)` keys. A deschedule clears
-    /// the slot, which is what removes the reference engine's stale pops.
-    fn arm_completion(&mut self, cpu: Cpu, pid: Pid, gen: u64, at: Nanos) {
-        match self.engine {
-            Engine::Indexed => {
-                let seq = self.next_seq();
-                let slot = 2 * cpu.index() + COMPLETION;
-                self.slots[slot] = event_key(at, seq, slot);
-            }
-            Engine::Reference => self.push_event(at, EvKind::OpComplete { pid, gen }),
-        }
+    /// Arms the completion of the current `Compute` op of `cpu`'s thread
+    /// at `at` in the CPU's completion slot, with a fresh seq from the
+    /// counter the heap shares. A deschedule clears the slot, so an
+    /// abandoned completion can never fire.
+    fn arm_completion(&mut self, cpu: Cpu, at: Nanos) {
+        let seq = self.next_seq();
+        let slot = 2 * cpu.index() + COMPLETION;
+        self.slots[slot] = event_key(at, seq, slot);
     }
 
     /// Removes `pid` from its CPU. `target` must be `Runnable` (preemption /
@@ -848,7 +669,6 @@ impl Simulator {
         };
         self.account_runtime(pid);
         self.threads[idx].state = target;
-        self.threads[idx].gen += 1;
         self.threads[idx].last_cpu = cpu;
         self.running[cpu.index()] = None;
         // The CPU's pending completion and slice check belonged to this
@@ -862,31 +682,10 @@ impl Simulator {
     }
 
     /// Picks the highest-priority ready thread allowed on `cpu` (FIFO among
-    /// equals) and removes it from the ready list (reference engine).
-    fn pop_ready_for_reference(&mut self, cpu: Cpu) -> Option<Pid> {
-        let mut best: Option<(Priority, u64, usize)> = None;
-        for (i, &pid) in self.ready.iter().enumerate() {
-            let t = &self.threads[self.index(pid)];
-            if !t.affinity.allows(cpu) {
-                continue;
-            }
-            let key = (t.prio, t.ready_seq);
-            match best {
-                None => best = Some((key.0, key.1, i)),
-                Some((bp, bs, _)) if key.0 > bp || (key.0 == bp && key.1 < bs) => {
-                    best = Some((key.0, key.1, i))
-                }
-                _ => {}
-            }
-        }
-        best.map(|(_, _, i)| self.ready.swap_remove(i))
-    }
-
-    /// Picks the highest-priority ready thread allowed on `cpu` (FIFO among
-    /// equals) and removes it from the runqueue (indexed engine): scan
-    /// non-empty buckets highest-priority-first, front-to-back within a
-    /// bucket, and take the first thread whose affinity allows `cpu`.
-    fn pop_ready_for_indexed(&mut self, cpu: Cpu) -> Option<Pid> {
+    /// equals) and removes it from the runqueue: scan non-empty buckets
+    /// highest-priority-first, front-to-back within a bucket, and take the
+    /// first thread whose affinity allows `cpu`.
+    fn pop_ready_for(&mut self, cpu: Cpu) -> Option<Pid> {
         let mut b = self.runqueue.first_from(0);
         while let Some(bi) = b {
             let hit = self.runqueue.buckets[bi]
@@ -906,34 +705,20 @@ impl Simulator {
         debug_assert_eq!(self.threads[idx].state, RunState::Runnable);
         self.threads[idx].state = RunState::Running(cpu);
         self.threads[idx].dispatched_at = self.now;
-        self.threads[idx].gen += 1;
         self.threads[idx].last_cpu = cpu;
-        let gen = self.threads[idx].gen;
         self.running[cpu.index()] = Some(pid);
         match self.threads[idx].remaining {
             Some(rem) => {
-                self.arm_completion(cpu, pid, gen, self.now + rem);
-                self.arm_slice_for_engine(cpu, pid, gen);
+                self.arm_completion(cpu, self.now + rem);
+                self.arm_slice(cpu, pid);
             }
             None => {
                 self.run_logic(pid);
                 // `run_logic` may have blocked/exited the thread; only arm
                 // the slice timer if it is still on the CPU.
                 if self.running[cpu.index()] == Some(pid) {
-                    let gen = self.threads[self.index(pid)].gen;
-                    self.arm_slice_for_engine(cpu, pid, gen);
+                    self.arm_slice(cpu, pid);
                 }
-            }
-        }
-    }
-
-    fn arm_slice_for_engine(&mut self, cpu: Cpu, pid: Pid, gen: u64) {
-        match self.engine {
-            Engine::Indexed => self.arm_slice(cpu, pid),
-            Engine::Reference => {
-                let slice = self.timeslice;
-                self.stats.slice_arms += 1;
-                self.push_event(self.now + slice, EvKind::SliceCheck { cpu, pid, gen });
             }
         }
     }
@@ -951,9 +736,8 @@ impl Simulator {
                     let RunState::Running(cpu) = self.threads[idx].state else {
                         unreachable!("only a running thread computes")
                     };
-                    let gen = self.threads[idx].gen;
                     self.threads[idx].remaining = Some(d);
-                    self.arm_completion(cpu, pid, gen, self.now + d);
+                    self.arm_completion(cpu, self.now + d);
                     break;
                 }
                 Op::Block { until } => {
@@ -964,7 +748,7 @@ impl Simulator {
                     self.threads[idx].remaining = None;
                     self.deschedule(pid, RunState::Blocked);
                     if let Some(deadline) = until {
-                        self.push_event(deadline.max(self.now), EvKind::WakeAt { pid });
+                        self.push_wake(deadline.max(self.now), pid);
                     }
                     break;
                 }
@@ -980,7 +764,7 @@ impl Simulator {
     }
 
     /// Runs a scheduling pass only when the ready or running sets changed
-    /// since the last one, then emits the switch diff (indexed engine).
+    /// since the last one, then emits the switch diff.
     ///
     /// The invariant making the skip exact: whenever `dirty` is false the
     /// assignment is stable — every mutation of the ready set
@@ -993,7 +777,7 @@ impl Simulator {
             return;
         }
         self.stats.rebalance_runs += 1;
-        self.rebalance_indexed();
+        self.rebalance();
         self.flush_switches();
         // Cleared *after* the pass: dispatches and preemptions inside it
         // re-raise the flag, but the loop only exits once the assignment
@@ -1001,18 +785,17 @@ impl Simulator {
         self.dirty = false;
     }
 
-    /// One scheduling pass over the indexed runqueue: fill idle CPUs, then
-    /// resolve preemptions, until the assignment is stable. Candidate order
-    /// (priority desc, FIFO among equals) matches the reference engine's
-    /// sorted-snapshot scan exactly.
-    fn rebalance_indexed(&mut self) {
+    /// One scheduling pass over the runqueue: fill idle CPUs, then resolve
+    /// preemptions, until the assignment is stable. Candidates are tried
+    /// in priority order, FIFO among equals.
+    fn rebalance(&mut self) {
         loop {
             let mut changed = false;
             // Fill idle CPUs.
             if !self.runqueue.is_empty() {
                 for c in 0..self.running.len() {
                     if self.running[c].is_none() {
-                        if let Some(pid) = self.pop_ready_for_indexed(Cpu::new(c as u16)) {
+                        if let Some(pid) = self.pop_ready_for(Cpu::new(c as u16)) {
                             self.dispatch(pid, Cpu::new(c as u16));
                             changed = true;
                         }
@@ -1070,66 +853,6 @@ impl Simulator {
                     self.runqueue.remove_at(bi, pos);
                     self.dispatch(pid, cpu);
                     changed = true;
-                }
-            }
-            if !changed {
-                break;
-            }
-        }
-    }
-
-    /// One scheduling pass: fill idle CPUs, then resolve preemptions, until
-    /// the assignment is stable (reference engine).
-    fn rebalance_reference(&mut self) {
-        loop {
-            let mut changed = false;
-            // Fill idle CPUs.
-            for c in 0..self.running.len() {
-                if self.running[c].is_none() {
-                    if let Some(pid) = self.pop_ready_for_reference(Cpu::new(c as u16)) {
-                        self.dispatch(pid, Cpu::new(c as u16));
-                        changed = true;
-                    }
-                }
-            }
-            // Preemption: find a ready thread strictly higher-priority than
-            // the lowest-priority running thread on an allowed CPU.
-            let mut ready_sorted: Vec<Pid> = self.ready.clone();
-            ready_sorted.sort_by_key(|&p| {
-                let t = &self.threads[self.index(p)];
-                (Reverse(t.prio), t.ready_seq)
-            });
-            'outer: for pid in ready_sorted {
-                let (prio, affinity) = {
-                    let t = &self.threads[self.index(pid)];
-                    (t.prio, t.affinity)
-                };
-                let mut victim: Option<(Priority, Cpu)> = None;
-                for c in 0..self.running.len() {
-                    let cpu = Cpu::new(c as u16);
-                    if !affinity.allows(cpu) {
-                        continue;
-                    }
-                    if let Some(run) = self.running[c] {
-                        let rp = self.threads[self.index(run)].prio;
-                        if rp < prio && victim.is_none_or(|(vp, _)| rp < vp) {
-                            victim = Some((rp, cpu));
-                        }
-                    }
-                }
-                if let Some((_, cpu)) = victim {
-                    let run = self.running[cpu.index()].expect("victim running");
-                    self.preempt(run);
-                    // Remove `pid` from the ready list and dispatch it.
-                    let pos = self
-                        .ready
-                        .iter()
-                        .position(|&p| p == pid)
-                        .expect("ready thread in list");
-                    self.ready.swap_remove(pos);
-                    self.dispatch(pid, cpu);
-                    changed = true;
-                    break 'outer;
                 }
             }
             if !changed {
@@ -1202,7 +925,12 @@ impl fmt::Debug for Simulator {
 }
 
 #[cfg(test)]
+#[path = "../tests/support/mod.rs"]
+mod invariants;
+
+#[cfg(test)]
 mod tests {
+    use super::invariants::{check, Spawned};
     use super::*;
     use crate::loadgen::ScriptedLogic;
     use rtms_trace::SchedEventKind;
@@ -1543,8 +1271,8 @@ mod tests {
         let _ = SimulatorBuilder::new(0);
     }
 
-    /// Builds the same 3-priority, mixed-affinity machine twice — indexed
-    /// and reference — and pins the full event streams against each other.
+    /// A 3-priority, mixed-affinity machine on which thread `i` computes
+    /// `2 + i % 3`, 3 and 1 ms, sleeping in between.
     fn mixed_machine(b: &mut SimulatorBuilder) {
         for i in 0..6u64 {
             let prio = Priority::new((i % 3) as i32);
@@ -1568,22 +1296,28 @@ mod tests {
         }
     }
 
+    /// The invariant checker's view of every spawned thread; the scripts
+    /// here compute after every wakeup.
+    fn spawned(sim: &Simulator) -> Vec<Spawned> {
+        sim.threads
+            .iter()
+            .map(|t| {
+                Spawned { pid: t.pid, prio: t.prio, cpus: t.affinity.0, empty_wakes: Vec::new() }
+            })
+            .collect()
+    }
+
     #[test]
-    fn indexed_engine_matches_reference_stream() {
-        let mut bi = SimulatorBuilder::new(2);
-        mixed_machine(&mut bi);
-        let mut indexed = bi.build();
-        indexed.run_until(Nanos::from_millis(60));
-
-        let mut br = SimulatorBuilder::new(2).reference_engine();
-        mixed_machine(&mut br);
-        let mut reference = br.build();
-        reference.run_until(Nanos::from_millis(60));
-
-        assert_eq!(indexed.sched_events(), reference.sched_events());
-        assert_eq!(indexed.switch_count(), reference.switch_count());
-        for pid in indexed.pids() {
-            assert_eq!(indexed.cpu_time(pid), reference.cpu_time(pid));
+    fn mixed_machine_keeps_scheduler_invariants() {
+        let mut b = SimulatorBuilder::new(2);
+        mixed_machine(&mut b);
+        let mut sim = b.build();
+        sim.run_until(Nanos::from_millis(60));
+        let checked = check(sim.sched_events(), 2, &spawned(&sim));
+        assert_eq!(checked.zero_length_runs, 0);
+        for (i, pid) in sim.pids().into_iter().enumerate() {
+            assert_eq!(sim.cpu_time(pid), Nanos::from_millis(6 + i as u64 % 3));
+            assert!(!sim.is_alive(pid));
         }
     }
 
@@ -1627,35 +1361,31 @@ mod tests {
 
     #[test]
     fn preempted_completions_never_pop_stale() {
-        // Round robin on one core preempts every in-flight `Compute`: the
-        // reference engine pops each abandoned completion as a stale heap
-        // entry, while the indexed engine clears it with the slot.
-        let run = |reference: bool| {
-            let mut b = SimulatorBuilder::new(1);
-            if reference {
-                b = b.reference_engine();
-            }
-            for i in 0..3 {
-                b.spawn(
-                    format!("t{i}"),
-                    Priority::NORMAL,
-                    Affinity::all(),
-                    Box::new(ScriptedLogic::new(vec![compute(5), compute(3)])),
-                );
-            }
-            let mut sim = b.build();
-            sim.run_until(Nanos::from_millis(40));
-            sim
-        };
-        let (indexed, reference) = (run(false), run(true));
-        assert_eq!(indexed.sched_events(), reference.sched_events());
-        assert!(reference.stats().stale_pops > 0, "the scenario preempts computes");
-        assert_eq!(indexed.stats().stale_pops, 0);
-        assert_eq!(
-            indexed.stats().events + reference.stats().stale_pops,
-            reference.stats().events,
-            "the indexed engine processes the same events minus the stale ones"
-        );
+        // Round robin on one core preempts in-flight `Compute`s; the
+        // deschedule clears each abandoned completion with its slot.
+        let mut b = SimulatorBuilder::new(1);
+        for i in 0..3 {
+            b.spawn(
+                format!("t{i}"),
+                Priority::NORMAL,
+                Affinity::all(),
+                Box::new(ScriptedLogic::new(vec![compute(5), compute(3)])),
+            );
+        }
+        let mut sim = b.build();
+        sim.run_until(Nanos::from_millis(1));
+        assert_eq!(sim.threads[0].state, RunState::Runnable, "the first slice check preempts t0");
+        assert_eq!(sim.threads[0].remaining, Some(Nanos::from_millis(4)), "t0 left mid-op");
+        sim.run_until(Nanos::from_millis(40));
+        check(sim.sched_events(), 1, &spawned(&sim));
+        let stats = sim.stats();
+        assert_eq!(stats.stale_pops, 0);
+        assert_eq!(stats.heap_pushes, 0, "nothing sleeps, so nothing goes through the heap");
+        // 24 ms of work in whole-millisecond ops: a slice check fires at
+        // each of the 24 millisecond marks except the three where a thread
+        // exits (its deschedule clears the armed check), plus six
+        // completions.
+        assert_eq!(stats.events, 21 + 6);
     }
 
     #[test]

@@ -17,7 +17,10 @@
 //! under debug assertions) rotating through the four presets on 1, 2, 4
 //! and 8 CPUs, with lossy QoS, a fault plan or recorded wakeups layered on
 //! in turn. These worlds run with the default kernel tracer, so the sweep
-//! pins the trace exactly as the synthesis pipeline consumes it.
+//! pins the trace exactly as the synthesis pipeline consumes it. The table
+//! stands in for the simulator's former reference engine: it was computed
+//! while that engine still ran beside the current one and agreed with it
+//! byte for byte.
 //!
 //! A changed digest means the simulator, the executors, the DDS router or
 //! the probes now emit a different stream. Every corpus digest and every
@@ -293,9 +296,9 @@ fn sweep_case(i: usize) -> SweepCase {
         preset,
         cpus: [1usize, 2, 4, 8][i % 4],
         horizon: Nanos::from_millis(if preset == "city" { 120 } else { 300 }),
-        lossy: i % 3 == 0,
-        faulted: i % 5 == 0,
-        wakeups: i % 2 == 0,
+        lossy: i.is_multiple_of(3),
+        faulted: i.is_multiple_of(5),
+        wakeups: i.is_multiple_of(2),
     }
 }
 
