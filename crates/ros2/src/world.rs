@@ -548,8 +548,7 @@ impl WorldBuilder {
                 let core = Rc::new(RefCell::new(ExecCore { cbs, syncs, owner }));
                 let mut worker_pids = Vec::with_capacity(workers);
                 for rank in 0..workers {
-                    let logic =
-                        NodeExecutor::new(Rc::clone(&world), Rc::clone(&core), rank, pid);
+                    let logic = NodeExecutor::new(Rc::clone(&world), Rc::clone(&core), rank, pid);
                     let thread_name = if rank == 0 {
                         node.name.clone()
                     } else {

@@ -532,13 +532,6 @@ impl Simulator {
         seq
     }
 
-    /// Queues a timed wakeup of `pid` at `time`.
-    fn push_wake(&mut self, time: Nanos, pid: Pid) {
-        let seq = self.next_seq();
-        self.stats.heap_pushes += 1;
-        self.queue.push(Reverse((event_key(time, seq, 0), pid)));
-    }
-
     /// Puts a runnable thread at the back of its runqueue bucket. Every
     /// caller is a ready-set mutation, so the dirty flag is raised here.
     fn make_ready(&mut self, idx: usize) {
@@ -588,8 +581,11 @@ impl Simulator {
         }
     }
 
+    /// Queues a timed wakeup of `pid` at `at`, or now if `at` has passed.
     pub(crate) fn schedule_wake(&mut self, pid: Pid, at: Nanos) {
-        self.push_wake(at.max(self.now), pid);
+        let seq = self.next_seq();
+        self.stats.heap_pushes += 1;
+        self.queue.push(Reverse((event_key(at.max(self.now), seq, 0), pid)));
     }
 
     /// The running thread's current `Compute` finished: ask its logic for
@@ -748,7 +744,7 @@ impl Simulator {
                     self.threads[idx].remaining = None;
                     self.deschedule(pid, RunState::Blocked);
                     if let Some(deadline) = until {
-                        self.push_wake(deadline.max(self.now), pid);
+                        self.schedule_wake(pid, deadline);
                     }
                     break;
                 }
@@ -1301,8 +1297,11 @@ mod tests {
     fn spawned(sim: &Simulator) -> Vec<Spawned> {
         sim.threads
             .iter()
-            .map(|t| {
-                Spawned { pid: t.pid, prio: t.prio, cpus: t.affinity.0, empty_wakes: Vec::new() }
+            .map(|t| Spawned {
+                pid: t.pid,
+                prio: t.prio,
+                cpus: t.affinity.0,
+                empty_wakes: Vec::new(),
             })
             .collect()
     }
