@@ -29,7 +29,7 @@ pub enum OutputFormat {
     #[default]
     Text,
     /// One machine-readable JSON document on stdout, for capturing
-    /// perf/accuracy trajectories across commits.
+    /// accuracy trajectories across commits.
     Json,
 }
 

@@ -6,8 +6,8 @@
 //! - [`harness`]: the parallel multi-run harness — N seeded simulation runs
 //!   fanned out across worker threads, results collected in run order so
 //!   output is identical for any `threads` setting.
-//! - [`record`]: record/replay plumbing shared by the `record`, `replay`,
-//!   and `perf` binaries — one world construction, one meta-frame schema.
+//! - [`record`]: record/replay plumbing shared by the `record` and
+//!   `replay` binaries — one world construction, one meta-frame schema.
 //! - AVP helpers ([`avp_vertex_key`], [`structure_summary`]) shared by the
 //!   table/figure binaries.
 //!

@@ -1,8 +1,8 @@
 //! Shared record/replay plumbing for the experiment binaries.
 //!
-//! The `record` binary (and `perf record=`) traces a seeded world into a
-//! binary segment file; the `replay` binary (and `perf replay=`) feeds
-//! such a file back through a [`SynthesisSession`]. Both sides construct
+//! The `record` binary traces a seeded world into a binary segment file;
+//! the `replay` binary feeds such a file back through a
+//! [`SynthesisSession`]. Both sides construct
 //! the world the same way from the same parameters, carried inside the
 //! file as its meta frame ([`RecordMeta`]) — so a replayed file knows how
 //! to rebuild its own live twin for equivalence checking.
@@ -81,9 +81,9 @@ impl RecordMeta {
 }
 
 /// The standard bench world: `apps` generated applications on a 4-CPU
-/// machine, fully determined by `(apps, seed)`. Shared by `perf`,
-/// `record`, and `replay` so a recorded file's live twin is exactly the
-/// world the recording came from.
+/// machine, fully determined by `(apps, seed)`. Shared by `record` and
+/// `replay` so a recorded file's live twin is exactly the world the
+/// recording came from.
 pub fn bench_world(apps: u64, seed: u64) -> Ros2World {
     bench_world_profiled(apps, seed, WorldProfile::Standard)
 }

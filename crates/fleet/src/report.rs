@@ -22,7 +22,7 @@ pub struct TenantAlert {
 }
 
 /// Aggregate metrics of one fleet run, serializable for the experiment
-/// binary's JSON output and the CI perf gate.
+/// binary's JSON output.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct FleetReport {
     /// Tenants ingested.
