@@ -64,7 +64,7 @@ fn collapse_services(dag: &Dag) -> Dag {
 /// Strips the per-caller/per-client decorations related to `base` from all
 /// vertices, making the service and its RPC topics collapse.
 fn rebuild_with_undecorated_service(dag: &Dag, base: &str) -> Dag {
-    use rtms_core::{CallbackRecord, CbList};
+    use rtms_core::{CallbackRecord, CbList, ExecStats};
     use rtms_trace::{CallbackId, Pid};
     use std::collections::HashMap;
 
@@ -104,8 +104,8 @@ fn rebuild_with_undecorated_service(dag: &Dag, base: &str) -> Dag {
             out_topics: v.out_topics.iter().map(strip).collect(),
             is_sync_subscriber: v.is_sync_member,
             stats: v.stats.clone(),
-            exec_times: v.exec_times.clone(),
-            start_times: vec![],
+            period: ExecStats::new(),
+            starts: None,
         };
         next_id += 1;
         match lists.iter_mut().find(|(p, _)| *p == pid) {
@@ -149,8 +149,8 @@ mod tests {
             out_topics: outs.iter().map(|s| std::sync::Arc::from(*s)).collect(),
             is_sync_subscriber: false,
             stats: ExecStats::from_samples([Nanos::from_millis(1)]),
-            exec_times: vec![Nanos::from_millis(1)],
-            start_times: vec![Nanos::ZERO],
+            period: ExecStats::new(),
+            starts: Some((Nanos::ZERO, Nanos::ZERO)),
         }
     }
 

@@ -97,8 +97,8 @@ mod tests {
             out_topics: outs.iter().map(|s| std::sync::Arc::from(*s)).collect(),
             is_sync_subscriber: false,
             stats: ExecStats::from_samples([Nanos::from_millis(wcet_ms)]),
-            exec_times: vec![Nanos::from_millis(wcet_ms)],
-            start_times: vec![Nanos::ZERO],
+            period: ExecStats::new(),
+            starts: Some((Nanos::ZERO, Nanos::ZERO)),
         }
     }
 

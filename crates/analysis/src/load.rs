@@ -14,9 +14,7 @@ pub fn callback_load(dag: &Dag, vertex: rtms_core::VertexId, window: Nanos) -> f
     if window == Nanos::ZERO {
         return 0.0;
     }
-    let v = dag.vertex(vertex);
-    let total: u64 = v.exec_times.iter().map(|e| e.as_nanos()).sum();
-    total as f64 / window.as_nanos() as f64
+    dag.vertex(vertex).stats.sum() as f64 / window.as_nanos() as f64
 }
 
 /// Aggregated load of one node.
@@ -144,8 +142,8 @@ mod tests {
             out_topics: vec![],
             is_sync_subscriber: false,
             stats: ExecStats::from_samples(times.iter().copied()),
-            exec_times: times,
-            start_times: vec![Nanos::ZERO],
+            period: ExecStats::new(),
+            starts: Some((Nanos::ZERO, Nanos::ZERO)),
         };
         let list: CbList = [rec].into_iter().collect();
         let names: HashMap<Pid, String> = [(Pid::new(1), "n".to_string())].into();

@@ -168,8 +168,8 @@ mod tests {
                 out_topics: out.iter().map(|s| std::sync::Arc::from(*s)).collect(),
                 is_sync_subscriber: false,
                 stats: ExecStats::from_samples(times.iter().copied()),
-                exec_times: times,
-                start_times: vec![rtms_trace::Nanos::ZERO],
+                period: ExecStats::new(),
+                starts: Some((rtms_trace::Nanos::ZERO, rtms_trace::Nanos::ZERO)),
             }
         };
         let lists = vec![

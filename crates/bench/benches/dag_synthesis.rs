@@ -25,8 +25,8 @@ fn chained_lists(nodes: usize, cbs_per_node: usize) -> (Vec<(Pid, CbList)>, Hash
                 out_topics: vec![format!("/hop{}_{c}", n + 1).into()],
                 is_sync_subscriber: false,
                 stats: ExecStats::from_samples([Nanos::from_millis(1)]),
-                exec_times: vec![Nanos::from_millis(1)],
-                start_times: vec![Nanos::ZERO],
+                period: ExecStats::new(),
+                starts: Some((Nanos::ZERO, Nanos::ZERO)),
             });
             id += 1;
         }

@@ -2,7 +2,6 @@
 
 use crate::alg2::execution_time;
 use crate::cblist::{CallbackRecord, CbList};
-use crate::stats::ExecStats;
 use rtms_trace::{
     CallbackId, CallbackKind, Nanos, Pid, RosEvent, RosPayload, SourceTimestamp, Topic, Trace,
 };
@@ -252,17 +251,16 @@ fn extract_callbacks_indexed(pid: Pid, trace: &Trace, index: &EventIndex) -> CbL
                 if let Some(w) = wip.take() {
                     let Some(id) = w.id else { continue }; // unidentifiable instance
                     let et = execution_time(w.start, event.time, pid, sched);
-                    list.add_instance(CallbackRecord {
+                    list.add_instance(CallbackRecord::instance(
                         pid,
                         id,
-                        kind: w.kind,
-                        in_topic: w.in_topic,
-                        out_topics: w.out_topics,
-                        is_sync_subscriber: w.sync,
-                        stats: ExecStats::from_samples([et]),
-                        exec_times: vec![et],
-                        start_times: vec![w.start],
-                    });
+                        w.kind,
+                        w.in_topic,
+                        w.out_topics,
+                        w.sync,
+                        et,
+                        w.start,
+                    ));
                 }
             }
             RosPayload::NodeInit { .. } => {}

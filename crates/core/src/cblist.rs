@@ -31,11 +31,13 @@ pub struct CallbackRecord {
     pub is_sync_subscriber: bool,
     /// Measured execution-time statistics across instances.
     pub stats: ExecStats,
-    /// Per-instance execution times, in observation order (kept for
-    /// convergence studies; the mergeable summary lives in `stats`).
-    pub exec_times: Vec<Nanos>,
-    /// Instance start times, for period estimation of timers.
-    pub start_times: Vec<Nanos>,
+    /// Statistics over the gaps between consecutive instance starts (the
+    /// period estimate of timer callbacks, per Sec. IV).
+    pub period: ExecStats,
+    /// Start times of the first and the last instance, `None` before any
+    /// start is recorded. The last start is what the next instance's gap
+    /// is measured from.
+    pub starts: Option<(Nanos, Nanos)>,
 }
 
 impl CallbackRecord {
@@ -53,17 +55,66 @@ impl CallbackRecord {
         }
     }
 
+    /// A record of one instance: execution time `exec`, started at
+    /// `start`.
+    #[allow(clippy::too_many_arguments)] // the parts of one instance
+    pub fn instance(
+        pid: Pid,
+        id: CallbackId,
+        kind: CallbackKind,
+        in_topic: Option<Arc<str>>,
+        out_topics: Vec<Arc<str>>,
+        is_sync_subscriber: bool,
+        exec: Nanos,
+        start: Nanos,
+    ) -> CallbackRecord {
+        CallbackRecord {
+            pid,
+            id,
+            kind,
+            in_topic,
+            out_topics,
+            is_sync_subscriber,
+            stats: ExecStats::from_samples([exec]),
+            period: ExecStats::new(),
+            starts: Some((start, start)),
+        }
+    }
+
+    /// Folds one more instance, observed after every instance so far.
+    pub fn push_instance(&mut self, exec: Nanos, start: Nanos) {
+        self.stats.push(exec);
+        self.starts = Some(match self.starts {
+            Some((first, last)) => {
+                self.period.push(start - last);
+                (first, start)
+            }
+            None => (start, start),
+        });
+    }
+
+    /// Folds the instances of `later`, all observed after this record's.
+    /// Equal to pushing `later`'s instances one by one: the period gains
+    /// `later`'s gaps plus the one gap between the two runs of starts.
+    pub fn merge_instances(&mut self, later: &CallbackRecord) {
+        self.stats.merge(&later.stats);
+        self.period.merge(&later.period);
+        self.starts = match (self.starts, later.starts) {
+            (Some((first, last)), Some((next, end))) => {
+                self.period.push(next - last);
+                Some((first, end))
+            }
+            (mine, theirs) => mine.or(theirs),
+        };
+    }
+
     /// Estimated invocation period: the mean gap between consecutive start
-    /// times (meaningful for timer callbacks, per Sec. IV).
+    /// times (meaningful for timer callbacks, per Sec. IV), rounded down.
     pub fn estimated_period(&self) -> Option<Nanos> {
-        if self.start_times.len() < 2 {
+        if self.period.count() == 0 {
             return None;
         }
-        let mut gaps = 0u64;
-        for w in self.start_times.windows(2) {
-            gaps += (w[1] - w[0]).as_nanos();
-        }
-        Some(Nanos::from_nanos(gaps / (self.start_times.len() as u64 - 1)))
+        Some(Nanos::from_nanos(self.period.sum() / self.period.count()))
     }
 }
 
@@ -81,8 +132,9 @@ impl CbList {
 
     /// `CBlist.AddToCallback(CB)` of Algorithm 1 (line 31): folds a
     /// completed instance into the matching entry, or appends a new entry
-    /// if none matches. Execution time and start time are recorded; newly
-    /// seen published topics extend the entry's topic list.
+    /// if none matches. Execution times and start gaps fold into the
+    /// entry's fixed-size statistics; newly seen published topics extend
+    /// the entry's topic list.
     pub fn add_instance(&mut self, instance: CallbackRecord) {
         if let Some(entry) = self.entries.iter_mut().find(|e| e.matches(&instance)) {
             for t in &instance.out_topics {
@@ -91,11 +143,7 @@ impl CbList {
                 }
             }
             entry.is_sync_subscriber |= instance.is_sync_subscriber;
-            for &et in &instance.exec_times {
-                entry.stats.push(et);
-                entry.exec_times.push(et);
-            }
-            entry.start_times.extend(instance.start_times.iter().copied());
+            entry.merge_instances(&instance);
         } else {
             self.entries.push(instance);
         }
@@ -104,11 +152,11 @@ impl CbList {
     /// Folds one completed instance into the list from its parts — the
     /// allocation-lean twin of [`CbList::add_instance`] for the streaming
     /// hot path. When the matching entry already exists (the overwhelming
-    /// case in a long run), only the new sample is appended: no
-    /// single-element vectors are materialized, and `outs` is consumed as
+    /// case in a long run), the instance folds into the entry's statistics
+    /// without touching the allocator, and `outs` is consumed as
     /// an iterator, merging its names without cloning or collecting them.
-    /// Behaviour is identical to building a one-sample [`CallbackRecord`]
-    /// and calling [`CbList::add_instance`].
+    /// Behaviour is identical to building [`CallbackRecord::instance`] and
+    /// calling [`CbList::add_instance`].
     #[allow(clippy::too_many_arguments)] // the parts of one instance, hot path
     pub fn fold_instance(
         &mut self,
@@ -135,21 +183,18 @@ impl CbList {
                     }
                 }
                 entry.is_sync_subscriber |= sync;
-                entry.stats.push(exec);
-                entry.exec_times.push(exec);
-                entry.start_times.push(start);
+                entry.push_instance(exec, start);
             }
-            None => self.entries.push(CallbackRecord {
+            None => self.entries.push(CallbackRecord::instance(
                 pid,
                 id,
                 kind,
                 in_topic,
-                out_topics: outs.into_iter().collect(),
-                is_sync_subscriber: sync,
-                stats: ExecStats::from_samples([exec]),
-                exec_times: vec![exec],
-                start_times: vec![start],
-            }),
+                outs.into_iter().collect(),
+                sync,
+                exec,
+                start,
+            )),
         }
     }
 
@@ -192,17 +237,16 @@ mod tests {
     use super::*;
 
     fn rec(id: u64, kind: CallbackKind, in_topic: Option<&str>, et_ms: u64) -> CallbackRecord {
-        CallbackRecord {
-            pid: Pid::new(1),
-            id: CallbackId::new(id),
+        CallbackRecord::instance(
+            Pid::new(1),
+            CallbackId::new(id),
             kind,
-            in_topic: in_topic.map(Arc::from),
-            out_topics: vec![],
-            is_sync_subscriber: false,
-            stats: ExecStats::from_samples([Nanos::from_millis(et_ms)]),
-            exec_times: vec![Nanos::from_millis(et_ms)],
-            start_times: vec![Nanos::ZERO],
-        }
+            in_topic.map(Arc::from),
+            vec![],
+            false,
+            Nanos::from_millis(et_ms),
+            Nanos::ZERO,
+        )
     }
 
     #[test]
@@ -242,12 +286,9 @@ mod tests {
     #[test]
     fn period_estimation() {
         let mut r = rec(1, CallbackKind::Timer, None, 1);
-        r.start_times = vec![
-            Nanos::from_millis(0),
-            Nanos::from_millis(100),
-            Nanos::from_millis(201),
-            Nanos::from_millis(299),
-        ];
+        for ms in [100, 201, 299] {
+            r.push_instance(Nanos::from_millis(1), Nanos::from_millis(ms));
+        }
         let p = r.estimated_period().expect("period");
         assert!((p.as_millis_f64() - 99.67).abs() < 0.5, "period {p}");
         let single = rec(1, CallbackKind::Timer, None, 1);
@@ -268,7 +309,7 @@ mod tests {
     fn fold_instance_equals_add_instance() {
         // The lean fold must produce byte-identical lists to the record
         // path, across entry creation, service splitting, out-topic
-        // dedup, and the sticky sync flag.
+        // dedup, the sticky sync flag and the start gaps.
         type Sample<'a> = (u64, CallbackKind, Option<&'a str>, &'a [&'a str], bool, u64);
         let samples: [Sample<'_>; 6] = [
             (1, CallbackKind::Timer, None, &["/a"], false, 2),
@@ -280,11 +321,18 @@ mod tests {
         ];
         let mut via_records = CbList::new();
         let mut via_fold = CbList::new();
-        for (id, kind, in_topic, outs, sync, ms) in samples {
-            let mut r = rec(id, kind, in_topic, ms);
-            r.out_topics = outs.iter().map(|s| Arc::from(*s)).collect();
-            r.is_sync_subscriber = sync;
-            via_records.add_instance(r);
+        for (i, (id, kind, in_topic, outs, sync, ms)) in samples.into_iter().enumerate() {
+            let start = Nanos::from_millis(10 * i as u64);
+            via_records.add_instance(CallbackRecord::instance(
+                Pid::new(1),
+                CallbackId::new(id),
+                kind,
+                in_topic.map(Arc::from),
+                outs.iter().map(|s| Arc::from(*s)).collect(),
+                sync,
+                Nanos::from_millis(ms),
+                start,
+            ));
             via_fold.fold_instance(
                 Pid::new(1),
                 CallbackId::new(id),
@@ -293,10 +341,49 @@ mod tests {
                 outs.iter().map(|s| Arc::from(*s)),
                 sync,
                 Nanos::from_millis(ms),
-                Nanos::ZERO,
+                start,
             );
         }
         assert_eq!(via_records, via_fold);
+        assert_eq!(via_fold.entries()[0].period, ExecStats::from_samples([Nanos::from_millis(10)]));
+    }
+
+    #[test]
+    fn merged_instances_equal_pushing_them_in_order() {
+        let starts = [0, 100, 201, 299, 400].map(Nanos::from_millis);
+        // The record of instances `range`, pushed one by one.
+        let record = |range: std::ops::Range<usize>| {
+            let exec = |i: usize| Nanos::from_millis(i as u64 + 1);
+            let mut r = CallbackRecord::instance(
+                Pid::new(1),
+                CallbackId::new(1),
+                CallbackKind::Timer,
+                None,
+                vec![],
+                false,
+                exec(range.start),
+                starts[range.start],
+            );
+            for (i, &start) in starts.iter().enumerate().take(range.end).skip(range.start + 1) {
+                r.push_instance(exec(i), start);
+            }
+            r
+        };
+        let pushed = record(0..starts.len());
+        for cut in 1..starts.len() {
+            let mut head = record(0..cut);
+            head.merge_instances(&record(cut..starts.len()));
+            assert_eq!(head, pushed, "cut at {cut}");
+        }
+        // Records without starts contribute statistics only.
+        let mut bare = pushed.clone();
+        bare.starts = None;
+        bare.period = ExecStats::new();
+        let mut merged = pushed.clone();
+        merged.merge_instances(&bare);
+        assert_eq!((merged.period, merged.starts), (pushed.period.clone(), pushed.starts));
+        bare.merge_instances(&pushed);
+        assert_eq!((bare.period, bare.starts), (pushed.period, pushed.starts));
     }
 
     #[test]

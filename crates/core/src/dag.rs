@@ -61,9 +61,6 @@ pub struct DagVertex {
     pub or_junction: bool,
     /// Measured execution-time statistics.
     pub stats: ExecStats,
-    /// Per-instance execution times in observation order (the raw series
-    /// behind `stats`, kept for convergence studies like Fig. 4).
-    pub exec_times: Vec<Nanos>,
     /// Statistics over consecutive start-time gaps (period estimate for
     /// timer callbacks).
     pub period: ExecStats,
@@ -232,10 +229,6 @@ impl Dag {
         // Vertices.
         let mut dag = Dag::new();
         for (node, rec) in records() {
-            let mut period = ExecStats::new();
-            for w in rec.start_times.windows(2) {
-                period.push(w[1] - w[0]);
-            }
             dag.vertices.push(DagVertex {
                 node: node.to_string(),
                 kind: VertexKind::Callback(rec.kind),
@@ -244,8 +237,7 @@ impl Dag {
                 is_sync_member: rec.is_sync_subscriber,
                 or_junction: false,
                 stats: rec.stats.clone(),
-                exec_times: rec.exec_times.clone(),
-                period,
+                period: rec.period.clone(),
             });
         }
 
@@ -289,7 +281,6 @@ impl Dag {
                 is_sync_member: false,
                 or_junction: false,
                 stats: ExecStats::from_samples([Nanos::ZERO]),
-                exec_times: Vec::new(),
                 period: ExecStats::new(),
             });
             let membership = rtms_util::concat2("&", &node);
@@ -447,7 +438,6 @@ impl Dag {
                 Some(&i) => {
                     let mine = &mut self.vertices[i];
                     mine.stats.merge(&v.stats);
-                    mine.exec_times.extend(v.exec_times.iter().copied());
                     mine.period.merge(&v.period);
                     mine.is_sync_member |= v.is_sync_member;
                     for t in &v.out_topics {
@@ -506,9 +496,9 @@ impl Dag {
     }
 
     /// Rewrites the model into its canonical form: duplicate-merge-key
-    /// vertices folded into one (stats summed, measurement and topic
-    /// lists unioned), vertices sorted by merge key, per-vertex
-    /// `out_topics`/`exec_times` sorted, and edges re-derived and sorted.
+    /// vertices folded into one (stats summed, topic lists unioned),
+    /// vertices sorted by merge key, per-vertex `out_topics` sorted, and
+    /// edges re-derived and sorted.
     ///
     /// This is the fixture behind the fleet determinism invariant.
     /// [`Dag::merge`] unions vertices in encounter order, so merging the
@@ -530,7 +520,6 @@ impl Dag {
                 Some(&i) => {
                     let mine = &mut folded[i];
                     mine.stats.merge(&v.stats);
-                    mine.exec_times.extend(v.exec_times.iter().copied());
                     mine.period.merge(&v.period);
                     mine.is_sync_member |= v.is_sync_member;
                     for t in &v.out_topics {
@@ -550,7 +539,6 @@ impl Dag {
         for v in &mut self.vertices {
             v.out_topics.sort();
             v.out_topics.dedup();
-            v.exec_times.sort_unstable();
         }
         self.rederive_edges();
         self.edges.sort_by(|a, b| {
@@ -748,17 +736,16 @@ mod tests {
         outs: &[&str],
         sync: bool,
     ) -> CallbackRecord {
-        CallbackRecord {
-            pid: Pid::new(pid),
-            id: CallbackId::new(id),
+        CallbackRecord::instance(
+            Pid::new(pid),
+            CallbackId::new(id),
             kind,
-            in_topic: in_topic.map(Arc::from),
-            out_topics: outs.iter().map(|s| Arc::from(*s)).collect(),
-            is_sync_subscriber: sync,
-            stats: ExecStats::from_samples([Nanos::from_millis(1)]),
-            exec_times: vec![Nanos::from_millis(1)],
-            start_times: vec![Nanos::ZERO],
-        }
+            in_topic.map(Arc::from),
+            outs.iter().map(|s| Arc::from(*s)).collect(),
+            sync,
+            Nanos::from_millis(1),
+            Nanos::ZERO,
+        )
     }
 
     fn names(pairs: &[(u32, &str)]) -> HashMap<Pid, String> {
@@ -877,7 +864,6 @@ mod tests {
         // Run 2 observes an extra publication and different exec times.
         let mut r = rec(1, 9, CallbackKind::Timer, None, &["/a", "/dbg"], false);
         r.stats = ExecStats::from_samples([Nanos::from_millis(5)]);
-        r.exec_times = vec![Nanos::from_millis(5)];
         let lists2 = vec![
             (Pid::new(1), list(vec![r])),
             (Pid::new(2), list(vec![rec(2, 8, CallbackKind::Subscriber, Some("/a"), &[], false)])),
@@ -974,7 +960,7 @@ mod tests {
             .find(|&v| d.vertex(v).in_topic.as_deref() == Some("/a"))
             .expect("subscriber");
         assert_eq!(d.vertex(sub).stats.count(), 2, "stats pooled across the fold");
-        assert_eq!(d.vertex(sub).exec_times.len(), 2);
+        assert_eq!(d.vertex(sub).stats.sum(), Nanos::from_millis(2).as_nanos());
     }
 
     /// Canonicalize preserves topology: same merge keys, same edge

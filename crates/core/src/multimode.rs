@@ -74,8 +74,8 @@ mod tests {
             out_topics: vec![out.into()],
             is_sync_subscriber: false,
             stats: ExecStats::from_samples([Nanos::from_millis(et_ms)]),
-            exec_times: vec![Nanos::from_millis(et_ms)],
-            start_times: vec![Nanos::ZERO],
+            period: ExecStats::new(),
+            starts: Some((Nanos::ZERO, Nanos::ZERO)),
         };
         let list: CbList = [rec].into_iter().collect();
         let names: HashMap<Pid, String> = [(Pid::new(1), "n".to_string())].into();

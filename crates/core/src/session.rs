@@ -25,7 +25,6 @@
 use crate::alg1::cat_id;
 use crate::cblist::{CallbackRecord, CbList};
 use crate::dag::Dag;
-use crate::stats::ExecStats;
 use rtms_trace::{
     CallbackId, CallbackKind, EventView, Nanos, Pid, RosEvent, RosEventView, RosPayloadView,
     SchedEvent, SchedEventKind, SegmentCursor, SourceTimestamp, Topic, Trace, TraceSegment,
@@ -135,14 +134,15 @@ struct OpenInstance {
 }
 
 impl OpenInstance {
-    fn new(seq: u64, kind: CallbackKind, start: Nanos) -> OpenInstance {
+    /// An instance that writes its outputs into `outs`, an empty buffer.
+    fn new(seq: u64, kind: CallbackKind, start: Nanos, outs: Vec<OutSlot>) -> OpenInstance {
         OpenInstance {
             seq,
             kind,
             start,
             id: None,
             in_topic: None,
-            outs: Vec::new(),
+            outs,
             unresolved: 0,
             sync: false,
             clock: ExecClock::new(start),
@@ -184,6 +184,30 @@ struct PidState {
     /// behind an empty or resolved front has already folded.
     pending: VecDeque<PendingInstance>,
     list: CbList,
+    /// An empty out-slot buffer kept from a folded instance, handed to
+    /// the node's next instance so that publishing does not allocate.
+    spare_outs: Vec<OutSlot>,
+}
+
+impl PidState {
+    /// Folds a resolved instance into the list, then keeps its emptied
+    /// out-slot buffer as the spare.
+    #[allow(clippy::too_many_arguments)] // the parts of one instance, hot path
+    fn fold(
+        &mut self,
+        pid: Pid,
+        id: CallbackId,
+        kind: CallbackKind,
+        in_topic: Option<Arc<str>>,
+        mut outs: Vec<OutSlot>,
+        sync: bool,
+        exec: Nanos,
+        start: Nanos,
+    ) {
+        let ready = outs.drain(..).map(OutSlot::into_ready);
+        self.list.fold_instance(pid, id, kind, in_topic, ready, sync, exec, start);
+        self.spare_outs = outs;
+    }
 }
 
 /// Widest `pid - base` span [`NodeTable`]'s dense vector will grow to
@@ -478,7 +502,8 @@ impl SynthesisSession {
                 let st = self.nodes.entry(pid);
                 st.last_identity = None;
                 // A still-open instance lost its end event.
-                let lost = st.wip.replace(OpenInstance::new(seq, kind, time)).is_some();
+                let outs = std::mem::take(&mut st.spare_outs);
+                let lost = st.wip.replace(OpenInstance::new(seq, kind, time, outs)).is_some();
                 self.overwritten_instances += u64::from(lost);
             }
             RosPayloadView::TimerCall { callback } => {
@@ -567,8 +592,7 @@ impl SynthesisSession {
                 if st.pending.is_empty() && w.unresolved == 0 {
                     // Nothing earlier waits and nothing is unknown: fold
                     // straight into the list.
-                    let outs = w.outs.into_iter().map(OutSlot::into_ready);
-                    st.list.fold_instance(pid, id, w.kind, w.in_topic, outs, w.sync, exec, w.start);
+                    st.fold(pid, id, w.kind, w.in_topic, w.outs, w.sync, exec, w.start);
                 } else {
                     st.pending.push_back(PendingInstance {
                         seq: w.seq,
@@ -693,22 +717,7 @@ impl SynthesisSession {
     fn fold_ready(pid: Pid, st: &mut PidState) {
         while st.pending.front().is_some_and(|p| p.unresolved == 0) {
             let p = st.pending.pop_front().expect("checked front");
-            let outs = p.outs.into_iter().map(OutSlot::into_ready);
-            st.list.fold_instance(pid, p.id, p.kind, p.in_topic, outs, p.sync, p.exec, p.start);
-        }
-    }
-
-    fn finished_record(pid: Pid, p: &PendingInstance, outs: Vec<Arc<str>>) -> CallbackRecord {
-        CallbackRecord {
-            pid,
-            id: p.id,
-            kind: p.kind,
-            in_topic: p.in_topic.clone(),
-            out_topics: outs,
-            is_sync_subscriber: p.sync,
-            stats: ExecStats::from_samples([p.exec]),
-            exec_times: vec![p.exec],
-            start_times: vec![p.start],
+            st.fold(pid, p.id, p.kind, p.in_topic, p.outs, p.sync, p.exec, p.start);
         }
     }
 
@@ -763,7 +772,10 @@ impl SynthesisSession {
                         }
                     })
                     .collect();
-                list.add_instance(Self::finished_record(pid, p, outs));
+                let in_topic = p.in_topic.clone();
+                list.add_instance(CallbackRecord::instance(
+                    pid, p.id, p.kind, in_topic, outs, p.sync, p.exec, p.start,
+                ));
             }
             lists.push((pid, Cow::Owned(list)));
         }
@@ -1196,7 +1208,8 @@ mod tests {
         assert_eq!(session.dropped_unidentified(), 0);
         let lists = session.callback_lists();
         assert_eq!(lists[0].1.entries()[0].stats.count(), 1);
-        assert_eq!(lists[0].1.entries()[0].start_times, [Nanos::from_millis(5)]);
+        let five = Nanos::from_millis(5);
+        assert_eq!(lists[0].1.entries()[0].starts, Some((five, five)));
         assert_eq!(session.model(), synthesize(&trace));
     }
 }

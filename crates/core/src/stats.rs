@@ -72,6 +72,12 @@ impl ExecStats {
         self.count
     }
 
+    /// Sum of all recorded samples, in nanoseconds (exact, unlike the
+    /// rounded [`ExecStats::macet`]).
+    pub fn sum(&self) -> u64 {
+        self.sum
+    }
+
     /// Measured best-case execution time.
     pub fn mbcet(&self) -> Option<Nanos> {
         self.min

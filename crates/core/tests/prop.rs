@@ -118,8 +118,8 @@ proptest! {
                 out_topics: vec![format!("/out{i}").into()],
                 is_sync_subscriber: false,
                 stats: ExecStats::from_samples([Nanos::from_millis(i as u64 + 1)]),
-                exec_times: vec![Nanos::from_millis(i as u64 + 1)],
-                start_times: vec![Nanos::ZERO],
+                period: ExecStats::new(),
+                starts: Some((Nanos::ZERO, Nanos::ZERO)),
             });
         }
         let names: HashMap<Pid, String> = [(Pid::new(1), "n".to_string())].into();
@@ -147,8 +147,8 @@ proptest! {
                 out_topics: vec!["/a".into()],
                 is_sync_subscriber: false,
                 stats: ExecStats::from_samples([Nanos::from_millis(et)]),
-                exec_times: vec![Nanos::from_millis(et)],
-                start_times: vec![Nanos::ZERO],
+                period: ExecStats::new(),
+                starts: Some((Nanos::ZERO, Nanos::ZERO)),
             };
             let list: CbList = [rec].into_iter().collect();
             Dag::from_cblists(&[(Pid::new(1), list)], &names)
@@ -171,8 +171,8 @@ proptest! {
             out_topics: vec![],
             is_sync_subscriber: false,
             stats: ExecStats::from_samples([Nanos::from_nanos(et)]),
-            exec_times: vec![Nanos::from_nanos(et)],
-            start_times: vec![Nanos::ZERO],
+            period: ExecStats::new(),
+            starts: Some((Nanos::ZERO, Nanos::ZERO)),
         };
         let fwd: CbList = ets.iter().map(|&e| mk(e)).collect();
         let rev: CbList = ets.iter().rev().map(|&e| mk(e)).collect();

@@ -165,23 +165,25 @@ impl Baseline {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rtms_core::{CallbackRecord, CbList, ExecStats};
+    use rtms_core::{CallbackRecord, CbList};
     use rtms_trace::{CallbackId, CallbackKind, Pid};
     use std::collections::HashMap;
 
     fn dag_with(samples_ms: &[u64], starts_ms: &[u64]) -> Dag {
-        let times: Vec<Nanos> = samples_ms.iter().map(|&m| Nanos::from_millis(m)).collect();
-        let rec = CallbackRecord {
-            pid: Pid::new(1),
-            id: CallbackId::new(1),
-            kind: CallbackKind::Timer,
-            in_topic: None,
-            out_topics: vec!["/t".into()],
-            is_sync_subscriber: false,
-            stats: ExecStats::from_samples(times.iter().copied()),
-            exec_times: times,
-            start_times: starts_ms.iter().map(|&m| Nanos::from_millis(m)).collect(),
-        };
+        let ms = Nanos::from_millis;
+        let mut rec = CallbackRecord::instance(
+            Pid::new(1),
+            CallbackId::new(1),
+            CallbackKind::Timer,
+            None,
+            vec!["/t".into()],
+            false,
+            ms(samples_ms[0]),
+            ms(starts_ms[0]),
+        );
+        for (&exec, &start) in samples_ms.iter().zip(starts_ms).skip(1) {
+            rec.push_instance(ms(exec), ms(start));
+        }
         let list: CbList = [rec].into_iter().collect();
         let names: HashMap<Pid, String> = [(Pid::new(1), "n".to_string())].into();
         Dag::from_cblists(&[(Pid::new(1), list)], &names)

@@ -501,7 +501,7 @@ fn missing_step(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rtms_core::{CallbackRecord, CbList, ExecStats};
+    use rtms_core::{CallbackRecord, CbList};
     use rtms_trace::{CallbackId, CallbackKind, Pid};
     use std::collections::HashMap;
 
@@ -518,18 +518,21 @@ mod tests {
         n: usize,
         period_ms: u64,
     ) -> CallbackRecord {
-        let times: Vec<Nanos> = (0..n).map(|_| Nanos::from_millis_f64(exec_ms)).collect();
-        CallbackRecord {
-            pid: Pid::new(pid),
-            id: CallbackId::new(id),
+        let exec = Nanos::from_millis_f64(exec_ms);
+        let mut rec = CallbackRecord::instance(
+            Pid::new(pid),
+            CallbackId::new(id),
             kind,
-            in_topic: in_topic.map(std::sync::Arc::from),
-            out_topics: outs.iter().map(|s| std::sync::Arc::from(*s)).collect(),
-            is_sync_subscriber: false,
-            stats: ExecStats::from_samples(times.iter().copied()),
-            exec_times: times,
-            start_times: (0..n as u64).map(|i| Nanos::from_millis(i * period_ms)).collect(),
+            in_topic.map(std::sync::Arc::from),
+            outs.iter().map(|s| std::sync::Arc::from(*s)).collect(),
+            false,
+            exec,
+            Nanos::ZERO,
+        );
+        for i in 1..n as u64 {
+            rec.push_instance(exec, Nanos::from_millis(i * period_ms));
         }
+        rec
     }
 
     fn dag(lists: Vec<(u32, Vec<CallbackRecord>)>) -> Dag {

@@ -132,23 +132,28 @@ impl Default for BaselineStore {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rtms_core::{CallbackRecord, CbList, ExecStats};
+    use rtms_core::{CallbackRecord, CbList};
     use rtms_trace::{CallbackId, CallbackKind, Pid};
     use std::collections::HashMap;
 
     fn chain(tag: &str, exec_ms: f64, n: usize) -> Dag {
         let topic: std::sync::Arc<str> = format!("/{tag}/a").into();
-        let times: Vec<Nanos> = (0..n).map(|_| Nanos::from_millis_f64(exec_ms)).collect();
-        let rec = |id: u64, kind, in_topic: Option<&std::sync::Arc<str>>, outs: &[&std::sync::Arc<str>]| CallbackRecord {
-            pid: Pid::new(id as u32),
-            id: CallbackId::new(id),
-            kind,
-            in_topic: in_topic.cloned(),
-            out_topics: outs.iter().map(|t| (*t).clone()).collect(),
-            is_sync_subscriber: false,
-            stats: ExecStats::from_samples(times.iter().copied()),
-            exec_times: times.clone(),
-            start_times: (0..n as u64).map(|i| Nanos::from_millis(i * 100)).collect(),
+        let exec = Nanos::from_millis_f64(exec_ms);
+        let rec = |id: u64, kind, in_topic: Option<&std::sync::Arc<str>>, outs: &[&std::sync::Arc<str>]| {
+            let mut rec = CallbackRecord::instance(
+                Pid::new(id as u32),
+                CallbackId::new(id),
+                kind,
+                in_topic.cloned(),
+                outs.iter().map(|t| (*t).clone()).collect(),
+                false,
+                exec,
+                Nanos::ZERO,
+            );
+            for i in 1..n as u64 {
+                rec.push_instance(exec, Nanos::from_millis(i * 100));
+            }
+            rec
         };
         let lists: Vec<(Pid, CbList)> = vec![
             (Pid::new(1), [rec(1, CallbackKind::Timer, None, &[&topic])].into_iter().collect()),

@@ -21,7 +21,7 @@
 //! only ever uses the non-blocking [`LaneReceiver::try_recv`].
 
 use crate::spsc::{self, Consumer, Producer, PushError};
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::atomic::{fence, AtomicBool, Ordering};
 use std::sync::{Arc, Mutex};
 use std::thread::Thread;
 
@@ -40,6 +40,9 @@ impl Wake {
     /// `swap` lets exactly one caller pay the unpark syscall, and the
     /// unpark token covers the race with a receiver just about to park.
     fn wake_receiver(&self) {
+        // Store-load barrier, paired with the one in `recv`: the same
+        // protocol as `spsc::Consumer::pop_wait`, across lanes.
+        fence(Ordering::SeqCst);
         if self.parked.swap(false, Ordering::AcqRel) {
             if let Some(thread) = self.waiter.lock().expect("waiter lock").as_ref() {
                 thread.unpark();
@@ -193,6 +196,7 @@ impl<T> LaneReceiver<T> {
             // the receiver would sleep on a non-empty group.
             *self.wake.waiter.lock().expect("waiter lock") = Some(std::thread::current());
             self.wake.parked.store(true, Ordering::Release);
+            fence(Ordering::SeqCst);
             if let Some(value) = self.try_recv() {
                 self.wake.parked.store(false, Ordering::Release);
                 return Some(value);

@@ -28,7 +28,7 @@
 
 use std::cell::UnsafeCell;
 use std::mem::MaybeUninit;
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use std::sync::atomic::{fence, AtomicBool, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
 use std::thread::Thread;
 
@@ -218,6 +218,11 @@ impl<T> Producer<T> {
     /// consumer is never left sleeping after a push (the unpark token
     /// covers the race where it is just about to park).
     fn wake_consumer(&self) {
+        // Pairs with the fence in `pop_wait` (a store-load barrier on
+        // each side): either this flag read sees the consumer's `parked`
+        // store, or the consumer's re-check sees the `tail`/`closed`
+        // store made before this call.
+        fence(Ordering::SeqCst);
         if self.ring.parked.swap(false, Ordering::AcqRel) {
             if let Some(thread) = self.ring.waiter.lock().expect("waiter lock").as_ref() {
                 thread.unpark();
@@ -276,7 +281,11 @@ impl<T> Consumer<T> {
     /// our last look and the flag store), then sleep. The producer's
     /// `swap(false)` + unpark covers the remaining window, because
     /// `Thread::unpark` on a not-yet-parked thread makes the next `park`
-    /// return immediately.
+    /// return immediately. A `SeqCst` fence on each side orders the flag
+    /// store before the re-check's loads, and the producer's `tail` or
+    /// `closed` store before its flag read. Without them a push followed by
+    /// a disconnect could read the flag as clear while the re-check still
+    /// saw an empty, open ring, and the consumer would sleep for good.
     pub fn pop_wait(&mut self) -> Option<T> {
         let budget = spin_budget();
         loop {
@@ -306,6 +315,7 @@ impl<T> Consumer<T> {
             // Slow path: park until the producer pushes or disconnects.
             *self.ring.waiter.lock().expect("waiter lock") = Some(std::thread::current());
             self.ring.parked.store(true, Ordering::Release);
+            fence(Ordering::SeqCst);
             // Re-check after declaring: a push that missed our flag store
             // must be observed here, or we would sleep on a non-empty ring.
             if !self.ring.is_empty_relaxed() || self.ring.closed.load(Ordering::Acquire) {

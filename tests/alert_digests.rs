@@ -71,8 +71,8 @@ const EXPECTED_MONITOR: &[(&str, usize, u64)] = &[
 
 /// `(case name, alert count, alert-stream digest, rollup digest, model digest)`.
 const EXPECTED_FLEET: &[(&str, usize, u64, u64, u64)] = &[
-    ("fleet-8x1-500ms", 12, 0xe9d96d273218af2b, 0x07b848cb80d9e38e, 0x272c4514f29b6f8e),
-    ("fleet-6x2-250ms", 6, 0xd9791ac322160c1b, 0xdd3f81b03f9f12f3, 0xf46cba04291cca1f),
+    ("fleet-8x1-500ms", 12, 0xe9d96d273218af2b, 0x07b848cb80d9e38e, 0x0c03eb68ab18cda6),
+    ("fleet-6x2-250ms", 6, 0xd9791ac322160c1b, 0xdd3f81b03f9f12f3, 0x330b65ff18fbb546),
 ];
 
 fn preset(name: &str) -> GeneratorConfig {

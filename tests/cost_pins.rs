@@ -3,12 +3,14 @@
 //!
 //! The simulation is deterministic per seed, and so is every allocation
 //! the pipeline makes on it. This suite installs a counting global
-//! allocator (alloc + realloc, counted per thread) and pins:
+//! allocator (alloc + realloc events and their requested bytes, counted
+//! per thread) and pins:
 //!
 //! - the recycled-slab segment transport: the pipelined consumer thread
 //!   allocates nothing between its first and last segment;
 //! - the synthesis walker: allocations to feed the run's segments, and to
-//!   build the model from them;
+//!   build the model from them; and that the model's bytes do not grow
+//!   with run length;
 //! - the monitor's per-window verdict: a fresh session sharing the
 //!   baseline's names, its model, and `Monitor::observe`, per window;
 //! - the scheduler's and tracers' work counters: `SimStats`, the trace's
@@ -41,6 +43,14 @@ thread_local! {
     /// Allocation events (alloc + realloc) on this thread. `const`
     /// initialization keeps the TLS access itself allocation-free.
     static ALLOCS: Cell<u64> = const { Cell::new(0) };
+    /// Bytes those events requested (a realloc counts its new size).
+    static BYTES: Cell<u64> = const { Cell::new(0) };
+}
+
+/// Counts one allocation event of `bytes` on this thread.
+fn note(bytes: usize) {
+    ALLOCS.with(|c| c.set(c.get() + 1));
+    BYTES.with(|c| c.set(c.get() + bytes as u64));
 }
 
 // SAFETY: every method forwards its caller's arguments unchanged to
@@ -49,14 +59,14 @@ thread_local! {
 // unwinds.
 unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCS.with(|c| c.set(c.get() + 1));
+        note(layout.size());
         unsafe { System.alloc(layout) }
     }
     unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
         unsafe { System.dealloc(ptr, layout) }
     }
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOCS.with(|c| c.set(c.get() + 1));
+        note(new_size);
         unsafe { System.realloc(ptr, layout, new_size) }
     }
 }
@@ -67,6 +77,11 @@ static ALLOC: CountingAlloc = CountingAlloc;
 /// Allocation events so far on the calling thread.
 fn allocs() -> u64 {
     ALLOCS.with(Cell::get)
+}
+
+/// Bytes requested so far on the calling thread.
+fn bytes() -> u64 {
+    BYTES.with(Cell::get)
 }
 
 /// Runs `f` and returns its result with the allocations it made.
@@ -85,12 +100,12 @@ const SEGMENT: Nanos = Nanos::from_millis(250);
 
 /// Allocations to feed the 2 s run's 8 segments into one session, as the
 /// segments arrive from the sequential trace loop.
-const WALKER_FEED_ALLOCS: u64 = 820;
+const WALKER_FEED_ALLOCS: u64 = 473;
 /// Allocations of `SynthesisSession::model` at the end of that run.
-const WALKER_MODEL_ALLOCS: u64 = 116;
+const WALKER_MODEL_ALLOCS: u64 = 95;
 /// Allocations per monitor window over a 3 s run: 4 baseline segments,
 /// then 8 windows, each a fresh session plus its model plus the verdict.
-const WINDOW_ALLOCS: [u64; 8] = [287, 274, 262, 310, 274, 262, 274, 316];
+const WINDOW_ALLOCS: [u64; 8] = [192, 182, 171, 201, 181, 171, 182, 200];
 
 /// The scheduler's work counters after the traced 2 s run.
 const TRACED_SIM_STATS: SimStats = SimStats {
@@ -146,6 +161,29 @@ fn walker_allocations_are_pinned() {
         (feed, counted(|| session.model()).1)
     });
     assert_eq!((feed, model), (WALKER_FEED_ALLOCS, WALKER_MODEL_ALLOCS));
+}
+
+#[test]
+fn model_bytes_do_not_grow_with_run_length() {
+    let model_of = |secs| {
+        on_fresh_thread(|| {
+            let mut w = bench_world(2, 0);
+            let mut session = SynthesisSession::new();
+            w.trace_segments_sequential(Nanos::from_secs(secs), SEGMENT, |segment| {
+                session.feed_segment(segment);
+            });
+            let before = bytes();
+            let model = session.model();
+            (model, bytes() - before)
+        })
+    };
+    let ((short, short_bytes), (long, long_bytes)) = (model_of(2), model_of(8));
+    let keys = |m: &ros2_tms::synthesis::Dag| -> Vec<String> {
+        m.vertices().iter().map(|v| v.merge_key()).collect()
+    };
+    assert_eq!(keys(&short), keys(&long), "the runs must model the same vertices");
+    assert!(long.vertices()[0].stats.count() > short.vertices()[0].stats.count());
+    assert_eq!(long_bytes, short_bytes, "model bytes grew with run length");
 }
 
 #[test]
