@@ -318,6 +318,36 @@ struct RespState {
     waiters: Vec<Waiter>,
 }
 
+/// Decorated service names (`topic#caller`), interned per session.
+///
+/// Every service request and response the walker attributes needs the
+/// topic name decorated with a callback identity. Formatting a fresh
+/// `Arc<str>` for each one, only for the fold to compare it by content
+/// and free it, is pure waste: the set of decorations is fixed by the
+/// app's (service topic × callback) pairs. This map returns one shared
+/// allocation per pair instead, so the fold's comparisons hit the pointer
+/// fast path. It is keyed by the address of the topic's name allocation
+/// and holds that `Arc`, so no other name can reuse the address while the
+/// entry lives. It is not walker state: [`SynthesisSession::retained_entries`]
+/// and [`SynthesisSession::peak_watermark`] do not count it.
+#[derive(Debug, Default)]
+struct Decorations(FxHashMap<(usize, Option<CallbackId>), Decorated>);
+
+/// The topic name an entry of [`Decorations`] is keyed by, and its
+/// decoration.
+type Decorated = (Arc<str>, Arc<str>);
+
+impl Decorations {
+    /// The decoration of `topic` with `id`: [`cat_id`]'s bytes, shared.
+    fn get(&mut self, topic: &Topic, id: Option<CallbackId>) -> Arc<str> {
+        let name = topic.name_arc();
+        let key = (Arc::as_ptr(name).cast::<u8>() as usize, id);
+        let (_, decorated) =
+            self.0.entry(key).or_insert_with(|| (Arc::clone(name), cat_id(topic, id)));
+        Arc::clone(decorated)
+    }
+}
+
 /// Incremental synthesis over streamed trace segments.
 ///
 /// Trace data enters one of two ways: live segments in chronological
@@ -363,6 +393,7 @@ pub struct SynthesisSession {
     peak_watermark: usize,
     dropped_unidentified: u64,
     overwritten_instances: u64,
+    decorations: Decorations,
 }
 
 impl Default for SynthesisSession {
@@ -396,6 +427,7 @@ impl SynthesisSession {
             peak_watermark: 0,
             dropped_unidentified: 0,
             overwritten_instances: 0,
+            decorations: Decorations::default(),
         }
     }
 
@@ -534,7 +566,7 @@ impl SynthesisSession {
                 st.last_identity = Some(callback);
                 if let Some(w) = st.wip.as_mut() {
                     w.id = Some(callback);
-                    w.in_topic = Some(cat_id(topic, caller));
+                    w.in_topic = Some(self.decorations.get(topic, caller));
                 }
             }
             RosPayloadView::TakeResponse { callback, topic, src_ts } => {
@@ -555,7 +587,7 @@ impl SynthesisSession {
                 }
                 if let Some(w) = st.wip.as_mut() {
                     w.id = Some(callback);
-                    w.in_topic = Some(cat_id(topic, Some(callback)));
+                    w.in_topic = Some(self.decorations.get(topic, Some(callback)));
                 }
             }
             RosPayloadView::DdsWrite { topic, src_ts } => self.on_write(pid, topic, src_ts),
@@ -626,7 +658,7 @@ impl SynthesisSession {
             return;
         };
         let slot = if topic.is_service_request() {
-            OutSlot::Ready(cat_id(topic, own))
+            OutSlot::Ready(self.decorations.get(topic, own))
         } else if topic.is_service_response() {
             OutSlot::AwaitClient { topic: topic.clone(), src_ts }
         } else {
@@ -695,7 +727,7 @@ impl SynthesisSession {
     /// Fills a waiting output slot with the resolved client decoration.
     fn deliver(&mut self, waiter: Waiter, topic: &Topic, client: CallbackId) {
         let Some(st) = self.nodes.get_mut(waiter.pid) else { return };
-        let resolved = OutSlot::Ready(cat_id(topic, Some(client)));
+        let resolved = OutSlot::Ready(self.decorations.get(topic, Some(client)));
         if let Some(w) = st.wip.as_mut().filter(|w| w.seq == waiter.seq) {
             w.outs[waiter.slot] = resolved;
             w.unresolved -= 1;
@@ -868,6 +900,24 @@ mod tests {
 
     fn ros(ms: u64, pid: u32, payload: RosPayload) -> RosEvent {
         RosEvent::new(Nanos::from_millis(ms), Pid::new(pid), payload)
+    }
+
+    #[test]
+    fn decorations_are_shared_per_name_allocation_and_callback() {
+        let mut decorations = Decorations::default();
+        let request = Topic::service_request("/sv");
+        let a = CallbackId::new(1);
+        let first = decorations.get(&request, Some(a));
+        assert_eq!(first, cat_id(&request, Some(a)));
+        assert!(Arc::ptr_eq(&first, &decorations.get(&request.clone(), Some(a))));
+        assert_eq!(decorations.get(&request, None), cat_id(&request, None));
+        assert_ne!(decorations.get(&request, Some(CallbackId::new(2))), first);
+        // An equal name in another allocation gets equal bytes, its own entry.
+        let twin = Topic::service_request("/sv");
+        let other = decorations.get(&twin, Some(a));
+        assert_eq!(other, first);
+        assert!(!Arc::ptr_eq(&other, &first));
+        assert_eq!(decorations.0.len(), 4);
     }
 
     fn sw(ms: u64, prev: u32, next: u32) -> SchedEvent {

@@ -106,7 +106,9 @@ impl<T: PerfRecord> PerfBuffer<T> {
             pushed: 0,
             // Skip the first few doublings of the growth chain: every
             // active tracer fills its buffer well past this within one
-            // segment, and `drain_into` keeps the allocation thereafter.
+            // segment. `drain_into` leaves room for at least the batch it
+            // drained: the trace containers swap storage only when theirs
+            // already holds the batch, and append otherwise.
             records: Vec::with_capacity(1024),
         }
     }
@@ -144,7 +146,9 @@ impl<T: PerfRecord> PerfBuffer<T> {
     /// The drain is *batched*: the whole record vector is handed to the
     /// sink's `append_*` method in one call ([`PerfRecord::sink_batch_into`]),
     /// so a segment drain is a bulk move rather than a per-event loop, and
-    /// the buffer's storage comes back with its capacity intact.
+    /// the buffer keeps storage for at least the batch it drained (a
+    /// [`rtms_trace::Trace`] sink either appends, leaving the buffer's own
+    /// allocation in place, or swaps in storage that already fits).
     pub fn drain_into<S: EventSink + ?Sized>(&mut self, sink: &mut S) {
         self.used_bytes = 0;
         T::sink_batch_into(&mut self.records, sink);
@@ -272,6 +276,9 @@ mod tests {
         assert_eq!(trace.ros_events().len(), 1);
         assert_eq!(trace.sched_events().len(), 1);
         assert!(ros_buf.is_empty() && sched_buf.is_empty());
+        // A fresh trace has no storage to swap in, so both buffers keep
+        // their own instead of regrowing from zero on the next fill.
+        assert!(ros_buf.records.capacity() >= 1024 && sched_buf.records.capacity() >= 1024);
         assert!(ros_buf.push(ev()), "space reclaimed after drain_into");
     }
 

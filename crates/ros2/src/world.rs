@@ -708,10 +708,12 @@ impl Ros2World {
     /// On a machine with at least two cores the two halves of the pipeline
     /// are overlapped (see [`Ros2World::trace_segments_pipelined`]):
     /// consuming segment *k* — sorting it, synthesizing from it — proceeds
-    /// while segment *k + 1* is still being collected. On a single-core
-    /// machine the pipeline would only add context switches, so collection
-    /// and consumption alternate on the calling thread instead. Both paths
-    /// hand over identical segments in identical order, so any output is
+    /// on the calling thread's persistent pipeline worker while segment
+    /// *k + 1* is still being collected. On a single-core machine the
+    /// pipeline would only add context switches, so collection and
+    /// consumption alternate on the calling thread instead. The core count
+    /// is read once per process ([`rtms_util::cores`]). Both paths hand
+    /// over identical segments in identical order, so any output is
     /// byte-identical — pinned by the streaming-equivalence suite.
     ///
     /// # Panics
@@ -722,8 +724,7 @@ impl Ros2World {
     where
         F: FnMut(&mut TraceSegment) + Send,
     {
-        let cores = std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get);
-        if cores >= 2 {
+        if rtms_util::cores() >= 2 {
             self.trace_segments_pipelined(total, segment_len, on_segment);
         } else {
             self.trace_segments_sequential(total, segment_len, on_segment);
@@ -731,19 +732,23 @@ impl Ros2World {
     }
 
     /// The pipelined implementation behind [`Ros2World::trace_segments`]:
-    /// `on_segment` runs on a dedicated consumer thread fed through a pair
-    /// of lock-free SPSC rings ([`rtms_util::spsc`]), so synthesis of
-    /// segment *k* overlaps collection of segment *k + 1*. The forward
-    /// ring carries filled segment slabs; the reverse ring returns each
-    /// slab — cleared but with its event storage intact — to the collector
-    /// for reuse, so the steady state moves recycled buffers instead of
-    /// allocating fresh ones (see "Pipeline internals" in
-    /// docs/PERFORMANCE.md for the capacity and memory-ordering argument).
+    /// `on_segment` runs on the calling thread's pipeline worker
+    /// ([`rtms_util::worker::overlap`]), a thread spawned on the first call
+    /// and reused by every later one, fed through a pair of lock-free SPSC
+    /// rings ([`rtms_util::spsc`]), so synthesis of segment *k* overlaps
+    /// collection of segment *k + 1*. The forward ring carries filled
+    /// segment slabs; the reverse ring returns each slab — cleared but with
+    /// its event storage intact — to the collector for reuse, so the steady
+    /// state moves recycled buffers instead of allocating fresh ones. The
+    /// rings and slabs belong to one call (see "Pipeline internals" in
+    /// docs/PERFORMANCE.md for the capacity, memory-ordering and worker
+    /// lifecycle arguments).
     ///
     /// Segments arrive at the consumer strictly in run order on one
     /// thread, byte-identical to the sequential path. A panic in
     /// `on_segment` propagates to the caller after the collection loop
-    /// stops.
+    /// stops. A `trace_segments` call made inside `on_segment` runs on the
+    /// worker's thread and so gets that thread's own worker.
     ///
     /// Exposed separately so the equivalence suite (and curious callers)
     /// can force the pipelined path regardless of the machine's core
@@ -770,33 +775,35 @@ impl Ros2World {
         self.announce_nodes();
         let (mut data_tx, mut data_rx) = rtms_util::spsc::ring::<TraceSegment>(DATA_RING_SLOTS);
         let (mut free_tx, mut free_rx) = rtms_util::spsc::ring::<TraceSegment>(FREE_RING_SLOTS);
-        std::thread::scope(|scope| {
-            let mut on_segment = on_segment;
-            let consumer = scope.spawn(move || {
-                // pop_wait spins briefly before parking: segments can
-                // arrive every few tens of microseconds, and paying a full
-                // scheduler wakeup per segment costs more than the
-                // synthesis work being hidden.
-                while let Some(mut segment) = data_rx.pop_wait() {
-                    // Sorting belongs to the segment contract but not to
-                    // the collection critical path — it overlaps the next
-                    // segment's collection here (and is a no-op scan when
-                    // the tracers emitted in time order).
-                    segment.sort_by_time();
-                    on_segment(&mut segment);
-                    // Recycle the slab: events are gone (moved out or
-                    // cleared) but the Vec storage stays. The free ring is
-                    // sized so this cannot be Full; if the producer is
-                    // already gone the slab simply drops.
-                    segment.clear_for_reuse(0);
-                    let _ = free_tx.try_push(segment);
-                }
-            });
+        let mut on_segment = on_segment;
+        let consume = move || {
+            // pop_wait spins briefly before parking: segments can arrive
+            // every few tens of microseconds, and paying a full scheduler
+            // wakeup per segment costs more than the synthesis work being
+            // hidden.
+            while let Some(mut segment) = data_rx.pop_wait() {
+                // Sorting belongs to the segment contract but not to the
+                // collection critical path — it overlaps the next segment's
+                // collection here (and is a no-op scan when the tracers
+                // emitted in time order).
+                segment.sort_by_time();
+                on_segment(&mut segment);
+                // Recycle the slab: events are gone (moved out or cleared)
+                // but the Vec storage stays. The free ring is sized so this
+                // cannot be Full; if the producer is already gone the slab
+                // simply drops.
+                segment.clear_for_reuse(0);
+                let _ = free_tx.try_push(segment);
+            }
+        };
+        // The collector owns the data ring's producing end, so returning
+        // or unwinding from it closes the ring and ends the consumer loop:
+        // `overlap` waits for that loop on every path out.
+        let collect = move || {
             let mut pool: rtms_util::SlabPool<TraceSegment> = rtms_util::SlabPool::new();
             let end = self.now() + total;
             let mut index = 0;
-            let mut consumer_alive = true;
-            while consumer_alive && self.now() < end {
+            while self.now() < end {
                 let step = segment_len.min(end - self.now());
                 self.start_runtime_tracers();
                 self.run_for(step);
@@ -808,16 +815,15 @@ impl Ros2World {
                     free_rx.try_pop().unwrap_or_else(|| pool.take_with(TraceSegment::new));
                 segment.set_index(index);
                 self.collect_segment_into(&mut segment);
-                // A rejected push means the consumer died; its panic
-                // surfaces at the join below.
-                consumer_alive = data_tx.push(segment).is_ok();
+                // A rejected push means the consumer died; `overlap`
+                // resumes its panic once this loop stops.
+                if data_tx.push(segment).is_err() {
+                    break;
+                }
                 index += 1;
             }
-            drop(data_tx);
-            if let Err(panic) = consumer.join() {
-                std::panic::resume_unwind(panic);
-            }
-        });
+        };
+        rtms_util::worker::overlap(consume, collect);
     }
 
     /// The sequential reference for [`Ros2World::trace_segments`]:

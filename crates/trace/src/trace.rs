@@ -122,27 +122,22 @@ impl Trace {
 
     /// Moves all events out of `events` onto the end of the ROS2 stream.
     ///
-    /// When this trace's stream is empty the two vectors are *swapped*, so
-    /// the bulk transfer is pointer-sized and — crucially for the recycled
-    /// slab pipeline — the donor vector inherits this trace's allocated
-    /// capacity for its next fill. Otherwise the events are appended with
-    /// one `memcpy` and `events` keeps its own (now empty) storage.
+    /// When this trace's stream is empty *and* its allocation already
+    /// holds the batch, the two vectors are *swapped*: the bulk transfer is
+    /// pointer-sized, and the donor — a tracer's perf buffer on the
+    /// collection path — gets back storage that fits a batch this size.
+    /// Otherwise the events are appended with one `memcpy` and `events`
+    /// keeps its own (now empty) storage. Swapping into a fresh,
+    /// zero-capacity trace would hand the donor an empty allocation to
+    /// regrow by doubling on its next fill.
     pub fn append_ros(&mut self, events: &mut Vec<RosEvent>) {
-        if self.ros_events.is_empty() {
-            std::mem::swap(&mut self.ros_events, events);
-        } else {
-            self.ros_events.append(events);
-        }
+        append_keeping_capacity(&mut self.ros_events, events);
     }
 
     /// Moves all events out of `events` onto the end of the scheduler
-    /// stream (same swap-when-empty contract as [`Trace::append_ros`]).
+    /// stream (same swap-when-it-fits contract as [`Trace::append_ros`]).
     pub fn append_sched(&mut self, events: &mut Vec<SchedEvent>) {
-        if self.sched_events.is_empty() {
-            std::mem::swap(&mut self.sched_events, events);
-        } else {
-            self.sched_events.append(events);
-        }
+        append_keeping_capacity(&mut self.sched_events, events);
     }
 
     /// The ROS2 events of one node (`SortByTime` + `filter by process` of
@@ -178,6 +173,17 @@ impl Trace {
             (Some(a), Some(b)) => Some(a.max(b)),
             (a, b) => a.or(b),
         }
+    }
+}
+
+/// The bulk move behind [`Trace::append_ros`] and [`Trace::append_sched`]:
+/// swap when `stream` is empty and can hold the batch, append otherwise.
+/// Either way `events` ends empty and no allocation is lost.
+fn append_keeping_capacity<T>(stream: &mut Vec<T>, events: &mut Vec<T>) {
+    if stream.is_empty() && stream.capacity() >= events.len() {
+        std::mem::swap(stream, events);
+    } else {
+        stream.append(events);
     }
 }
 
@@ -241,6 +247,41 @@ mod tests {
         assert_eq!(a.ros_events()[0].time, Nanos::from_nanos(10));
         assert_eq!(a.sched_events()[0].time, Nanos::from_nanos(5));
         assert_eq!(a.end_time(), Some(Nanos::from_nanos(30)));
+    }
+
+    #[test]
+    fn append_into_a_fresh_trace_leaves_the_donor_its_capacity() {
+        let mut donor: Vec<RosEvent> = Vec::with_capacity(64);
+        donor.extend((0..10).map(|t| ros(t, 1)));
+        let mut sched_donor: Vec<SchedEvent> = Vec::with_capacity(64);
+        sched_donor.extend((0..10).map(sched));
+        let mut t = Trace::new();
+        t.append_ros(&mut donor);
+        t.append_sched(&mut sched_donor);
+        assert_eq!(t.len(), 20);
+        assert!(donor.is_empty() && sched_donor.is_empty());
+        assert_eq!((donor.capacity(), sched_donor.capacity()), (64, 64), "donor storage kept");
+    }
+
+    #[test]
+    fn append_into_an_emptied_trace_that_fits_swaps() {
+        let mut t = Trace::new();
+        t.reserve(32, 32);
+        let (ros_storage, sched_storage) = (t.ros_events.as_ptr(), t.sched_events.as_ptr());
+        let mut donor: Vec<RosEvent> = (0..10).map(|t| ros(t, 1)).collect();
+        let mut sched_donor: Vec<SchedEvent> = (0..10).map(sched).collect();
+        let (ros_batch, sched_batch) = (donor.as_ptr(), sched_donor.as_ptr());
+        t.append_ros(&mut donor);
+        t.append_sched(&mut sched_donor);
+        assert_eq!((t.ros_events.as_ptr(), t.sched_events.as_ptr()), (ros_batch, sched_batch));
+        assert_eq!((donor.as_ptr(), sched_donor.as_ptr()), (ros_storage, sched_storage));
+        assert!(donor.is_empty() && donor.capacity() >= 32);
+        assert_eq!(t.ros_events().len(), 10);
+        // A second batch lands behind the first.
+        let mut more = vec![ros(11, 1)];
+        t.append_ros(&mut more);
+        assert_eq!(t.ros_events().len(), 11);
+        assert_eq!(t.ros_events().last().map(|e| e.time), Some(Nanos::from_nanos(11)));
     }
 
     #[test]

@@ -25,6 +25,10 @@
 //!   queue of a fleet shard worker (`rtms-fleet`).
 //! - [`slab`] — a tiny object pool with a lifetime-allocation counter,
 //!   the producer-side front of the segment-slab freelist.
+//! - [`worker`] — one persistent helper thread per calling thread, which
+//!   runs the consumer half of the pipelined trace path so that a call
+//!   does not pay a thread spawn and join.
+//! - [`cores`] — the machine's core count, read once per process.
 //!
 //! Like the `vendor/` crates, everything is hand-rolled against the
 //! published algorithm (FxHash is the Firefox/rustc hash, LEB128 is the
@@ -40,6 +44,7 @@ pub mod mpsc;
 pub mod slab;
 pub mod spsc;
 pub mod varint;
+pub mod worker;
 
 pub use arcstr::{concat2, concat2_fmt, concat3};
 pub use fnv::fnv1a_64;
@@ -47,3 +52,16 @@ pub use mpsc::{lanes, LaneReceiver, LaneSender};
 pub use fx::{FxBuildHasher, FxHashMap, FxHashSet, FxHasher};
 pub use slab::SlabPool;
 pub use spsc::{ring, Consumer, Producer, PushError};
+
+/// The number of cores this process may run on, read once and cached.
+///
+/// `std::thread::available_parallelism` re-reads the cgroup quota and the
+/// affinity mask on every call, which costs tens of microseconds. The
+/// callers here only choose between a sequential and an overlapped path,
+/// so the first answer stands for the life of the process. An error reads
+/// as one core.
+pub fn cores() -> usize {
+    static CORES: std::sync::OnceLock<usize> = std::sync::OnceLock::new();
+    *CORES
+        .get_or_init(|| std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get))
+}

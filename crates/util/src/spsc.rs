@@ -59,11 +59,11 @@ pub(crate) const YIELDS: u32 = 32;
 /// to yield (and, for the consumer, park). Shared with the sharded
 /// multi-producer lanes of [`crate::mpsc`], which wait the same way.
 pub(crate) fn spin_budget() -> u32 {
-    static BUDGET: std::sync::OnceLock<u32> = std::sync::OnceLock::new();
-    *BUDGET.get_or_init(|| match std::thread::available_parallelism() {
-        Ok(n) if n.get() > 1 => SPINS,
-        _ => 0,
-    })
+    if crate::cores() > 1 {
+        SPINS
+    } else {
+        0
+    }
 }
 
 /// The shared ring state. `Producer` and `Consumer` each hold an `Arc`.

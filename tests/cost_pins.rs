@@ -6,8 +6,10 @@
 //! allocator (alloc + realloc events and their requested bytes, counted
 //! per thread) and pins:
 //!
-//! - the recycled-slab segment transport: the pipelined consumer thread
-//!   allocates nothing between its first and last segment;
+//! - the recycled-slab segment transport: the pipelined consumer (the
+//!   calling thread's persistent worker) allocates nothing outside
+//!   `on_segment` over a whole call, and the collecting thread's
+//!   allocations for one pipelined call;
 //! - the synthesis walker: allocations to feed the run's segments, and to
 //!   build the model from them; and that the model's bytes do not grow
 //!   with run length;
@@ -100,12 +102,17 @@ const SEGMENT: Nanos = Nanos::from_millis(250);
 
 /// Allocations to feed the 2 s run's 8 segments into one session, as the
 /// segments arrive from the sequential trace loop.
-const WALKER_FEED_ALLOCS: u64 = 473;
+const WALKER_FEED_ALLOCS: u64 = 305;
 /// Allocations of `SynthesisSession::model` at the end of that run.
 const WALKER_MODEL_ALLOCS: u64 = 95;
 /// Allocations per monitor window over a 3 s run: 4 baseline segments,
 /// then 8 windows, each a fresh session plus its model plus the verdict.
-const WINDOW_ALLOCS: [u64; 8] = [192, 182, 171, 201, 181, 171, 182, 200];
+const WINDOW_ALLOCS: [u64; 8] = [179, 170, 163, 181, 169, 163, 170, 180];
+/// Allocations on the collecting thread for one pipelined 2 s run whose
+/// consumer keeps every segment, with the thread's pipeline worker already
+/// running: the simulation, the two rings, and one event vector per
+/// stream and segment.
+const PIPELINED_PRODUCER_ALLOCS: u64 = 82;
 
 /// The scheduler's work counters after the traced 2 s run.
 const TRACED_SIM_STATS: SimStats = SimStats {
@@ -127,26 +134,55 @@ const TRACE_VOLUME_BYTES: usize = 108_568;
 
 #[test]
 fn pipelined_transport_allocates_nothing_on_the_consumer_thread() {
-    let mut w = bench_world(2, 0);
-    // The call spawns the consumer thread. Only the window between its
-    // first and last segment is pinned: a process's first ring wait reads
-    // the core count once, and whether the consumer or the producer
-    // thread pays for that is a race.
-    let (mut segments, mut at_first, mut at_last) = (0u64, 0u64, 0u64);
-    w.trace_segments_pipelined(Nanos::from_secs(2), SEGMENT, |segment| {
-        std::hint::black_box(segment.len());
-        if segments == 0 {
-            at_first = allocs();
+    // Three calls on one thread share one worker. Counted: every
+    // consumer-thread allocation between the end of the first call's last
+    // `on_segment` and the start of the third call's first one, minus
+    // those inside `on_segment`. That spans the first call's shutdown, the
+    // worker's idle wait, the whole second call and the third's start-up.
+    let (outside, workers) = on_fresh_thread(|| {
+        let (mut outside, mut last_exit) = (0u64, None::<u64>);
+        let mut workers = Vec::new();
+        for call in 0..3 {
+            let mut w = bench_world(2, 0);
+            let mut first = true;
+            w.trace_segments_pipelined(Nanos::from_secs(2), SEGMENT, |segment| {
+                let entry = allocs();
+                if call == 1 || (call == 2 && first) {
+                    outside += entry - last_exit.expect("an earlier segment");
+                }
+                if first {
+                    workers.push(std::thread::current().id());
+                    first = false;
+                }
+                std::hint::black_box(segment.len());
+                last_exit = Some(allocs());
+            });
         }
-        at_last = allocs();
-        segments += 1;
+        (outside, workers)
     });
-    assert_eq!(segments, 8);
-    assert_eq!(
-        at_last - at_first,
-        0,
-        "the steady-state transport allocated"
-    );
+    assert!(workers.windows(2).all(|w| w[0] == w[1]), "every call ran on one worker");
+    assert_eq!(outside, 0, "the steady-state transport allocated");
+}
+
+#[test]
+fn pipelined_producer_allocations_are_pinned() {
+    let producer = on_fresh_thread(|| {
+        // Start this thread's worker, so the pinned call runs warm.
+        bench_world(1, 0).trace_segments_pipelined(SEGMENT, SEGMENT, |_| {});
+        let mut w = bench_world(2, 0);
+        let mut kept = Vec::new();
+        counted(|| {
+            // Keeping every segment returns each slab empty, so every
+            // segment is collected into storage of capacity zero, whether
+            // its slab is fresh or recycled: the count does not depend on
+            // how far the consumer lags.
+            w.trace_segments_pipelined(Nanos::from_secs(2), SEGMENT, |segment| {
+                kept.push(std::mem::take(segment));
+            });
+        })
+        .1
+    });
+    assert_eq!(producer, PIPELINED_PRODUCER_ALLOCS);
 }
 
 #[test]
